@@ -15,14 +15,15 @@ import (
 )
 
 // Tracker keeps a sliding window of recent request latencies and answers
-// percentile queries against it. Safe for concurrent use.
+// percentile queries against it. The window's observations are also kept
+// sorted, updated in place on every Record (one binary-searched delete of
+// the evicted sample, one insert), so a percentile is an index. Safe for
+// concurrent use.
 type Tracker struct {
 	mu     sync.Mutex
-	window []sim.Time
-	pos    int
-	filled bool
-	sorted []sim.Time
-	dirty  bool
+	window []sim.Time // ring of the latest observations
+	pos    int        // next ring slot to overwrite
+	sorted []sim.Time // the ring's observations, ascending
 }
 
 // NewTracker returns a tracker over a window of n observations.
@@ -30,19 +31,41 @@ func NewTracker(n int) *Tracker {
 	if n <= 0 {
 		n = 1024
 	}
-	return &Tracker{window: make([]sim.Time, n)}
+	return &Tracker{window: make([]sim.Time, n), sorted: make([]sim.Time, 0, n)}
 }
 
-// Record adds a request latency.
+// Record adds a request latency, evicting the oldest once the window is
+// full.
 func (t *Tracker) Record(d sim.Time) {
 	t.mu.Lock()
+	s := t.sorted
+	if len(s) < len(t.window) {
+		// Filling: insert d after any equal samples.
+		j := sort.Search(len(s), func(j int) bool { return s[j] > d })
+		s = append(s, 0)
+		copy(s[j+1:], s[j:])
+		s[j] = d
+		t.sorted = s
+	} else {
+		// Full: the evicted sample's slot moves to d's place, shifting only
+		// the samples between them.
+		old := t.window[t.pos]
+		i := sort.Search(len(s), func(i int) bool { return s[i] >= old })
+		if d >= old {
+			j := sort.Search(len(s), func(j int) bool { return s[j] > d })
+			copy(s[i:j-1], s[i+1:j])
+			s[j-1] = d
+		} else {
+			j := sort.Search(i, func(j int) bool { return s[j] > d })
+			copy(s[j+1:i+1], s[j:i])
+			s[j] = d
+		}
+	}
 	t.window[t.pos] = d
 	t.pos++
 	if t.pos == len(t.window) {
 		t.pos = 0
-		t.filled = true
 	}
-	t.dirty = true
 	t.mu.Unlock()
 }
 
@@ -50,21 +73,13 @@ func (t *Tracker) Record(d sim.Time) {
 func (t *Tracker) Percentile(p float64) sim.Time {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := t.pos
-	if t.filled {
-		n = len(t.window)
-	}
+	n := len(t.sorted)
 	if n == 0 {
 		return 0
 	}
-	if t.dirty {
-		t.sorted = append(t.sorted[:0], t.window[:n]...)
-		sort.Slice(t.sorted, func(i, j int) bool { return t.sorted[i] < t.sorted[j] })
-		t.dirty = false
-	}
-	idx := int(p / 100 * float64(len(t.sorted)))
-	if idx >= len(t.sorted) {
-		idx = len(t.sorted) - 1
+	idx := int(p / 100 * float64(n))
+	if idx >= n {
+		idx = n - 1
 	}
 	return t.sorted[idx]
 }
@@ -73,10 +88,7 @@ func (t *Tracker) Percentile(p float64) sim.Time {
 func (t *Tracker) Count() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.filled {
-		return len(t.window)
-	}
-	return t.pos
+	return len(t.sorted)
 }
 
 // Policy bundles the read-path scheduling decisions.

@@ -1,6 +1,7 @@
 package iosched
 
 import (
+	"sort"
 	"testing"
 
 	"purity/internal/sim"
@@ -138,5 +139,72 @@ func TestGovernorDisabledAndNil(t *testing.T) {
 	nilGov.NoteDeferral()
 	if nilGov.Threatened() || nilGov.Deferrals() != 0 || nilGov.Budget() != 0 || nilGov.P999() != 0 {
 		t.Fatal("nil governor not inert")
+	}
+}
+
+// refPercentile is the sort-based definition the incremental tracker must
+// reproduce: index the sorted window at p/100 · n.
+func refPercentile(sorted []sim.Time, p float64) sim.Time {
+	if len(sorted) == 0 {
+		return 0
+	}
+	idx := int(p / 100 * float64(len(sorted)))
+	if idx >= len(sorted) {
+		idx = len(sorted) - 1
+	}
+	return sorted[idx]
+}
+
+// TestTrackerMatchesSortedReference drives random streams with many
+// duplicates through trackers of several window sizes and checks every
+// percentile the read path asks for against a full sort, while the window
+// fills and across several wrap-arounds.
+func TestTrackerMatchesSortedReference(t *testing.T) {
+	ps := []float64{0, 50, 90, 95, 99.9, 100}
+	for _, window := range []int{1, 2, 7, 100, 1024} {
+		r := sim.NewRand(uint64(window))
+		tr := NewTracker(window)
+		var samples []sim.Time
+		for i := 0; i < 3*window+50; i++ {
+			// Few distinct values, so duplicates are common; an occasional
+			// wide value exercises long shifts.
+			d := sim.Time(r.Intn(12)) * sim.Microsecond
+			if r.Intn(10) == 0 {
+				d = sim.Time(r.Intn(1 << 20))
+			}
+			tr.Record(d)
+			samples = append(samples, d)
+			sorted := append([]sim.Time(nil), samples[max(0, len(samples)-window):]...)
+			sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+			if got := tr.Count(); got != len(sorted) {
+				t.Fatalf("window %d after %d: Count = %d, want %d", window, i+1, got, len(sorted))
+			}
+			for _, p := range ps {
+				if got, want := tr.Percentile(p), refPercentile(sorted, p); got != want {
+					t.Fatalf("window %d after %d samples: p%v = %v, want %v", window, i+1, p, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkTrackerRecordPercentile is the read path's per-read tracker
+// cost: one Record and the two percentile queries (hedge check and
+// governor) against a full 1024-sample window.
+func BenchmarkTrackerRecordPercentile(b *testing.B) {
+	tr := NewTracker(1024)
+	r := sim.NewRand(1)
+	lats := make([]sim.Time, 4096)
+	for i := range lats {
+		lats[i] = sim.Time(50+r.Intn(200)) * sim.Microsecond
+	}
+	for _, d := range lats[:1024] {
+		tr.Record(d)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.Record(lats[i%len(lats)])
+		_ = tr.Percentile(95)
+		_ = tr.Percentile(99.9)
 	}
 }

@@ -145,6 +145,12 @@ type Page struct {
 	// the Once makes the lazy build safe for concurrent readers.
 	keysOnce sync.Once
 	keys     []uint64 // rowCount × KeyCols, row-major
+
+	// Blob offsets are the running sum of prior rows' blob lengths, so a
+	// per-row decode would re-sum the page's prefix on every call; they
+	// are materialized once, like the key columns.
+	blobsOnce sync.Once
+	blobOffs  []int // rowCount+1 offsets into the blob area
 }
 
 // keyCache decodes all key columns on first use.
@@ -160,6 +166,20 @@ func (p *Page) keyCache() []uint64 {
 		p.keys = keys
 	})
 	return p.keys
+}
+
+// blobOffsets returns each row's blob start within the blob area (row i
+// spans offs[i]:offs[i+1]), decoding the length column on first use.
+func (p *Page) blobOffsets() []int {
+	p.blobsOnce.Do(func() {
+		lenCol := p.schema.Cols + 1
+		offs := make([]int, p.rowCount+1)
+		for i := 0; i < p.rowCount; i++ {
+			offs[i+1] = offs[i] + int(p.col(i, lenCol))
+		}
+		p.blobOffs = offs
+	})
+	return p.blobOffs
 }
 
 // Open parses and validates an encoded page.
@@ -256,15 +276,9 @@ func (p *Page) Fact(i int) tuple.Fact {
 		f.Cols[c] = p.col(i, c)
 	}
 	if p.schema.HasBlob {
-		// Blob offsets are the running sum of prior blob lengths.
-		lenCol := p.schema.Cols + 1
-		var start uint64
-		for j := 0; j < i; j++ {
-			start += p.col(j, lenCol)
-		}
-		n := p.col(i, lenCol)
+		offs := p.blobOffsets()
 		//lint:ignore factmut decode-time construction; the fact is unpublished until return
-		f.Blob = append([]byte(nil), p.raw[p.blobOff+int(start):p.blobOff+int(start+n)]...)
+		f.Blob = append([]byte(nil), p.raw[p.blobOff+offs[i]:p.blobOff+offs[i+1]]...)
 	}
 	return f
 }
@@ -310,14 +324,10 @@ func (p *Page) All() []tuple.Fact {
 		out[i].Cols = backing[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	if p.schema.HasBlob {
-		lenCol := cols + 1
-		lens := make([]uint64, n)
-		colVal(lenCol, func(i int, v uint64) { lens[i] = v })
-		var start uint64
+		offs := p.blobOffsets()
 		for i := 0; i < n; i++ {
 			//lint:ignore factmut decode-time construction; the facts are unpublished until return
-			out[i].Blob = append([]byte(nil), p.raw[p.blobOff+int(start):p.blobOff+int(start+lens[i])]...)
-			start += lens[i]
+			out[i].Blob = append([]byte(nil), p.raw[p.blobOff+offs[i]:p.blobOff+offs[i+1]]...)
 		}
 	}
 	return out

@@ -178,6 +178,39 @@ func TestPageRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFactMatchesAllOnBlobPage checks per-row decode against whole-page
+// decode on every row of a blob page (the volumes relation's shape), in a
+// scattered order so the cached blob offsets are used out of sequence.
+func TestFactMatchesAllOnBlobPage(t *testing.T) {
+	s := tuple.Schema{Cols: 4, KeyCols: 1, HasBlob: true}
+	r := sim.NewRand(3)
+	facts := make([]tuple.Fact, 256)
+	for i := range facts {
+		blob := make([]byte, r.Intn(40)) // includes empty blobs
+		r.Bytes(blob)
+		facts[i] = tuple.Fact{Seq: tuple.Seq(i + 1), Cols: []uint64{uint64(i), r.Uint64(), 3, uint64(len(blob))}, Blob: blob}
+	}
+	raw, err := Encode(s, facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Open(s, raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := p.All()
+	for k := 0; k < len(facts); k++ {
+		i := k * 97 % len(facts)
+		f := p.Fact(i)
+		if f.Seq != all[i].Seq || tuple.CompareKeys(f.Cols, all[i].Cols, s.Cols) != 0 || !bytes.Equal(f.Blob, all[i].Blob) {
+			t.Fatalf("row %d: Fact = %+v, All = %+v", i, f, all[i])
+		}
+		if !bytes.Equal(f.Blob, facts[i].Blob) {
+			t.Fatalf("row %d: blob %x, encoded %x", i, f.Blob, facts[i].Blob)
+		}
+	}
+}
+
 func TestPageEmpty(t *testing.T) {
 	s := tuple.Schema{Cols: 2, KeyCols: 1}
 	raw, err := Encode(s, nil)

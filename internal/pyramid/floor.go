@@ -27,12 +27,6 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 	}
 	done := at
 
-	p.mu.Lock()
-	p.sortMemLocked()
-	mem := p.mem
-	patches := append([]*Patch(nil), p.patches...)
-	p.mu.Unlock()
-
 	target := col
 	for {
 		// Per-source floor candidates; the global floor key is their max,
@@ -52,7 +46,15 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 			}
 		}
 
-		if f, ok := floorInMem(mem, prefix, target, p.cfg.Schema.KeyCols); ok {
+		// The memtable is sorted in place and its buffers are reused, so it
+		// is searched under the lock; the copy-on-write patch list is
+		// snapshotted in the same critical section.
+		p.mu.Lock()
+		p.sortMemLocked()
+		f, ok := floorInMem(p.mem, prefix, target, p.cfg.Schema.KeyCols)
+		patches := p.patches
+		p.mu.Unlock()
+		if ok {
 			consider(f)
 		}
 		for _, patch := range patches {

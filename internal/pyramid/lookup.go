@@ -3,6 +3,7 @@ package pyramid
 import (
 	"sort"
 
+	"purity/internal/pagecodec"
 	"purity/internal/sim"
 	"purity/internal/tuple"
 )
@@ -22,81 +23,19 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 	k := p.cfg.Schema.KeyCols
 	done := at
 
+	// The memtable is sorted in place and its buffers are reused, so it is
+	// searched under the lock. The patch list is copy-on-write
+	// (installPatchLocked builds a fresh slice), so the header snapshot
+	// needs no copy.
 	p.mu.Lock()
 	if len(p.mem)-p.sortedLen > memSuffixMax {
 		p.sortMemLocked()
 	}
-	mem := p.mem
-	sortedLen := p.sortedLen
-	// The patch list is copy-on-write (installPatchLocked builds a fresh
-	// slice), so the header snapshot needs no copy.
+	f, found := p.getMemLocked(key)
 	patches := p.patches
 	p.mu.Unlock()
-
-	// Memtable: the sorted prefix is binary-searched; facts inserted since
-	// the last sort (a bounded suffix) are scanned linearly. The two match
-	// streams are merged in (seq desc, insertion asc) order — exactly the
-	// order a full stable sort would produce — and the first non-elided
-	// match is the newest version.
-	prefix := mem[:sortedLen]
-	var i int
-	if k == 1 {
-		// Single-column keys (the dedup index) take a hand-rolled search:
-		// no closure, no generic key compare.
-		key0 := key[0]
-		lo, hi := 0, len(prefix)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid].Cols[0] < key0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		i = lo
-	} else {
-		i = sort.Search(len(prefix), func(i int) bool {
-			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
-		})
-	}
-	var sm []tuple.Fact // suffix matches, insertion order
-	if k == 1 {
-		key0 := key[0]
-		for _, f := range mem[sortedLen:] {
-			if f.Cols[0] == key0 {
-				sm = append(sm, f)
-			}
-		}
-	} else {
-		for _, f := range mem[sortedLen:] {
-			if tuple.CompareKeys(f.Cols, key, k) == 0 {
-				sm = append(sm, f)
-			}
-		}
-	}
-	if len(sm) > 1 {
-		sort.SliceStable(sm, func(a, b int) bool { return sm[a].Seq > sm[b].Seq })
-	}
-	si := 0
-	for {
-		havePre := i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0
-		haveSuf := si < len(sm)
-		if !havePre && !haveSuf {
-			break
-		}
-		// Ties take the prefix fact: it was inserted earlier, matching the
-		// stable-sort order.
-		if havePre && (!haveSuf || prefix[i].Seq >= sm[si].Seq) {
-			if !p.elided(prefix[i]) {
-				return prefix[i].Clone(), true, done, nil
-			}
-			i++
-		} else {
-			if !p.elided(sm[si]) {
-				return sm[si].Clone(), true, done, nil
-			}
-			si++
-		}
+	if found {
+		return f.Clone(), true, done, nil
 	}
 
 	if k == 1 {
@@ -124,6 +63,77 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 		}
 	}
 	return tuple.Fact{}, false, done, nil
+}
+
+// getMemLocked returns the memtable's newest non-elided fact with exactly
+// this key. The sorted prefix is binary-searched; facts inserted since the
+// last sort (a bounded suffix) are scanned linearly. The two match streams
+// are merged in (seq desc, insertion asc) order — exactly the order a full
+// stable sort would produce — and the first non-elided match is the newest
+// version. Caller holds mu.
+func (p *Pyramid) getMemLocked(key []uint64) (tuple.Fact, bool) {
+	k := p.cfg.Schema.KeyCols
+	mem := p.mem
+	prefix := mem[:p.sortedLen]
+	var i int
+	if k == 1 {
+		// Single-column keys (the dedup index) take a hand-rolled search:
+		// no closure, no generic key compare.
+		key0 := key[0]
+		lo, hi := 0, len(prefix)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if prefix[mid].Cols[0] < key0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		i = lo
+	} else {
+		i = sort.Search(len(prefix), func(i int) bool {
+			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
+		})
+	}
+	var sm []tuple.Fact // suffix matches, insertion order
+	if k == 1 {
+		key0 := key[0]
+		for _, f := range mem[p.sortedLen:] {
+			if f.Cols[0] == key0 {
+				sm = append(sm, f)
+			}
+		}
+	} else {
+		for _, f := range mem[p.sortedLen:] {
+			if tuple.CompareKeys(f.Cols, key, k) == 0 {
+				sm = append(sm, f)
+			}
+		}
+	}
+	if len(sm) > 1 {
+		sort.SliceStable(sm, func(a, b int) bool { return sm[a].Seq > sm[b].Seq })
+	}
+	si := 0
+	for {
+		havePre := i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0
+		haveSuf := si < len(sm)
+		if !havePre && !haveSuf {
+			return tuple.Fact{}, false
+		}
+		// Ties take the prefix fact: it was inserted earlier, matching the
+		// stable-sort order.
+		if havePre && (!haveSuf || prefix[i].Seq >= sm[si].Seq) {
+			if !p.elided(prefix[i]) {
+				return prefix[i], true
+			}
+			i++
+		} else {
+			if !p.elided(sm[si]) {
+				return sm[si], true
+			}
+			si++
+		}
+	}
 }
 
 // getFromPatch1 is getFromPatch specialized for single-column keys — the
@@ -255,46 +265,88 @@ func (s *memSource) advance(at sim.Time) (sim.Time, error) {
 	return at, nil
 }
 
+// patchSource streams one patch's rows, optionally bounded above by hiKey.
+// seek positions it; pages open lazily, one at a time, and a page whose
+// KeyMin lies beyond hiKey is never opened. Rows decode one at a time
+// (Page.Fact), so a narrow scan decodes only the rows it visits.
 type patchSource struct {
-	p       *Pyramid
-	patch   *Patch
-	pageIdx int
-	rows    []tuple.Fact
-	pos     int
+	p     *Pyramid
+	patch *Patch
+	hiKey []uint64 // inclusive upper bound; nil is open
+
+	page int             // index of pg in patch.Pages
+	pg   *pagecodec.Page // nil until seek opens a page
+	row  int
+	cur  tuple.Fact
+	ok   bool
 }
 
-// load decodes the current page's rows; it is called lazily.
-func (s *patchSource) load(at sim.Time) (sim.Time, error) {
-	for s.rows == nil || s.pos >= len(s.rows) {
-		if s.rows != nil {
-			s.pageIdx++
+// seek positions the source at its first row with key ≥ loKey (nil: the
+// first row). The candidate page is the last one whose KeyMin < loKey:
+// every earlier page ends below it, and the strict < stays correct even if
+// versions of loKey spill across a page boundary. An unbounded source
+// (mergePatches, full scans) starts at page 0.
+func (s *patchSource) seek(at sim.Time, loKey []uint64) (sim.Time, error) {
+	pages := s.patch.Pages
+	if len(pages) == 0 {
+		return at, nil
+	}
+	k := s.p.cfg.Schema.KeyCols
+	if loKey != nil {
+		s.page = sort.Search(len(pages), func(i int) bool {
+			return tuple.CompareKeys(pages[i].KeyMin, loKey, k) >= 0
+		}) - 1
+		if s.page < 0 {
+			s.page = 0
 		}
-		if s.pageIdx >= len(s.patch.Pages) {
-			s.rows = []tuple.Fact{}
-			s.pos = 0
+	}
+	if s.hiKey != nil && tuple.CompareKeys(pages[s.page].KeyMin, s.hiKey, k) > 0 {
+		return at, nil // the whole range lies below this patch
+	}
+	pg, done, err := s.p.openPage(at, pages[s.page].Ref)
+	if err != nil {
+		return done, err
+	}
+	s.pg = pg
+	if loKey != nil {
+		s.row = pg.FirstGE(loKey)
+	}
+	return s.settle(done)
+}
+
+// settle makes the row at (page, row) current, moving on to following
+// pages while the open one is exhausted, and ends the stream at the first
+// row beyond hiKey.
+func (s *patchSource) settle(at sim.Time) (sim.Time, error) {
+	k := s.p.cfg.Schema.KeyCols
+	pages := s.patch.Pages
+	for s.row >= s.pg.RowCount() {
+		next := s.page + 1
+		if next >= len(pages) || (s.hiKey != nil && tuple.CompareKeys(pages[next].KeyMin, s.hiKey, k) > 0) {
+			s.ok = false
 			return at, nil
 		}
-		pg, d, err := s.p.openPage(at, s.patch.Pages[s.pageIdx].Ref)
-		at = d
+		pg, done, err := s.p.openPage(at, pages[next].Ref)
+		at = done
 		if err != nil {
+			s.ok = false
 			return at, err
 		}
-		s.rows = pg.All()
-		s.pos = 0
+		s.page, s.pg, s.row = next, pg, 0
 	}
+	if s.hiKey != nil && tuple.CompareKeys(s.pg.Keys()[s.row*k:], s.hiKey, k) > 0 {
+		s.ok = false
+		return at, nil
+	}
+	s.cur, s.ok = s.pg.Fact(s.row), true
 	return at, nil
 }
 
-func (s *patchSource) peek() (tuple.Fact, bool) {
-	if s.rows == nil || s.pos >= len(s.rows) {
-		return tuple.Fact{}, false
-	}
-	return s.rows[s.pos], true
-}
+func (s *patchSource) peek() (tuple.Fact, bool) { return s.cur, s.ok }
 
 func (s *patchSource) advance(at sim.Time) (sim.Time, error) {
-	s.pos++
-	return s.load(at)
+	s.row++
+	return s.settle(at)
 }
 
 // Scan streams the newest non-elided version of every key in [loKey,
@@ -311,43 +363,49 @@ func (p *Pyramid) ScanVersions(at sim.Time, loKey, hiKey []uint64, fn func(tuple
 	return p.scan(at, loKey, hiKey, true, fn)
 }
 
+// scan merges the memtable and every patch over [loKey, hiKey]. Each
+// source is positioned by binary search — the memtable's run by key, each
+// patch by page KeyMin and then row (patchSource.seek) — so a bounded
+// scan's cost follows the range it returns, not the pyramid's size.
 func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn func(tuple.Fact) bool) (sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
+	if loKey != nil && hiKey != nil && tuple.CompareKeys(loKey, hiKey, k) > 0 {
+		return done, nil
+	}
 
+	// The memtable is sorted in place and its buffers are reused, so the
+	// run in range is copied out under the lock. The patch list is
+	// copy-on-write (installPatchLocked builds a fresh slice), so the header
+	// snapshot needs no copy.
 	p.mu.Lock()
 	p.sortMemLocked()
-	memCopy := append([]tuple.Fact(nil), p.mem...)
-	patches := append([]*Patch(nil), p.patches...)
+	lo, hi := 0, len(p.mem)
+	if loKey != nil {
+		lo = sort.Search(len(p.mem), func(i int) bool {
+			return tuple.CompareKeys(p.mem[i].Cols, loKey, k) >= 0
+		})
+	}
+	if hiKey != nil {
+		hi = sort.Search(len(p.mem), func(i int) bool {
+			return tuple.CompareKeys(p.mem[i].Cols, hiKey, k) > 0
+		})
+	}
+	memRun := append([]tuple.Fact(nil), p.mem[lo:hi]...)
+	patches := p.patches
 	p.mu.Unlock()
 
 	sources := make([]factSource, 0, len(patches)+1)
-	sources = append(sources, &memSource{facts: memCopy})
-	for _, patch := range patches {
-		ps := &patchSource{p: p, patch: patch}
+	sources = append(sources, &memSource{facts: memRun})
+	patchSources := make([]patchSource, len(patches))
+	for i, patch := range patches {
+		ps := &patchSources[i]
+		ps.p, ps.patch, ps.hiKey = p, patch, hiKey
 		var err error
-		done, err = ps.load(done)
-		if err != nil {
+		if done, err = ps.seek(done, loKey); err != nil {
 			return done, err
 		}
 		sources = append(sources, ps)
-	}
-
-	// Skip sources forward to loKey.
-	if loKey != nil {
-		for _, s := range sources {
-			for {
-				f, ok := s.peek()
-				if !ok || tuple.CompareKeys(f.Cols, loKey, k) >= 0 {
-					break
-				}
-				var err error
-				done, err = s.advance(done)
-				if err != nil {
-					return done, err
-				}
-			}
-		}
 	}
 
 	var lastKey []uint64
@@ -367,9 +425,6 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 			}
 		}
 		if best < 0 {
-			return done, nil
-		}
-		if hiKey != nil && tuple.CompareKeys(bestFact.Cols, hiKey, k) > 0 {
 			return done, nil
 		}
 		var err error

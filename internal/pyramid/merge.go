@@ -50,10 +50,10 @@ func (p *Pyramid) mergePatches(at sim.Time, a, b *Patch) (*Patch, sim.Time, erro
 	sa := &patchSource{p: p, patch: a}
 	sb := &patchSource{p: p, patch: b}
 	var err error
-	if done, err = sa.load(done); err != nil {
+	if done, err = sa.seek(done, nil); err != nil {
 		return nil, done, err
 	}
-	if done, err = sb.load(done); err != nil {
+	if done, err = sb.seek(done, nil); err != nil {
 		return nil, done, err
 	}
 

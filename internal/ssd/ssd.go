@@ -21,6 +21,7 @@
 package ssd
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -132,7 +133,8 @@ type Device struct {
 
 	mu      sync.Mutex
 	failed  bool
-	data    map[int64][]byte // erase-block index -> contents (lazily allocated)
+	data    map[int64][][]byte // erase-block index -> its pages; see page
+	zeros   []byte             // one all-zero page, for comparisons
 	blocks  []eraseBlock
 	dies    []dieState
 	rng     *sim.Rand
@@ -164,7 +166,8 @@ func New(id string, cfg Config) (*Device, error) {
 	return &Device{
 		cfg:     cfg,
 		id:      id,
-		data:    make(map[int64][]byte),
+		data:    make(map[int64][][]byte),
+		zeros:   make([]byte, cfg.PageSize),
 		blocks:  make([]eraseBlock, nBlocks),
 		dies:    make([]dieState, cfg.Dies),
 		rng:     sim.NewRand(cfg.Seed),
@@ -183,6 +186,61 @@ func (d *Device) Capacity() int64 { return d.cfg.Capacity }
 
 // blockIndex returns the erase block containing off.
 func (d *Device) blockIndex(off int64) int64 { return off / int64(d.cfg.EraseBlockSize) }
+
+// page returns page pi of erase block bi, or nil if no nonzero byte was
+// ever programmed into it since the last erase: such a page reads as
+// zeros and holds no memory. The drive is an in-memory model, and
+// partially filled stripes leave long zero-filled gaps, so a page is
+// allocated only when alloc is set. Caller holds mu.
+func (d *Device) page(bi, pi int64, alloc bool) []byte {
+	pages := d.data[bi]
+	if pages == nil {
+		if !alloc {
+			return nil
+		}
+		pages = make([][]byte, d.cfg.EraseBlockSize/d.cfg.PageSize)
+		d.data[bi] = pages
+	}
+	if pages[pi] == nil && alloc {
+		pages[pi] = make([]byte, d.cfg.PageSize)
+	}
+	return pages[pi]
+}
+
+// copyOut copies block bi's bytes from blockOff into dst. Caller holds mu.
+func (d *Device) copyOut(dst []byte, bi, blockOff int64) {
+	ps := int64(d.cfg.PageSize)
+	for len(dst) > 0 {
+		pi, po := blockOff/ps, blockOff%ps
+		n := min(ps-po, int64(len(dst)))
+		if pg := d.page(bi, pi, false); pg != nil {
+			copy(dst[:n], pg[po:])
+		} else {
+			clear(dst[:n])
+		}
+		dst, blockOff = dst[n:], blockOff+n
+	}
+}
+
+// program copies src into block bi at blockOff, allocating only the pages
+// that receive a nonzero byte. Caller holds mu.
+func (d *Device) program(bi, blockOff int64, src []byte) {
+	ps := int64(d.cfg.PageSize)
+	for len(src) > 0 {
+		pi, po := blockOff/ps, blockOff%ps
+		n := min(ps-po, int64(len(src)))
+		if pg := d.page(bi, pi, !bytes.Equal(src[:n], d.zeros[:n])); pg != nil {
+			copy(pg[po:], src[:n])
+		}
+		src, blockOff = src[n:], blockOff+n
+	}
+}
+
+// flip inverts one bit of the byte at blockOff in block bi. Caller holds mu.
+func (d *Device) flip(bi, blockOff int64, bit uint) {
+	ps := int64(d.cfg.PageSize)
+	d.page(bi, blockOff/ps, true)[blockOff%ps] ^= 1 << (bit % 8)
+}
 
 // dieFor maps a byte offset to the die that owns its stripe chunk.
 func (d *Device) dieFor(off int64) int {
@@ -251,13 +309,7 @@ func (d *Device) ReadAt(at sim.Time, p []byte, off int64) (sim.Time, error) {
 		if n > int64(len(remaining)) {
 			n = int64(len(remaining))
 		}
-		if chunk, ok := d.data[bi]; ok {
-			copy(remaining[:n], chunk[blockOff:])
-		} else {
-			for i := range remaining[:n] {
-				remaining[i] = 0
-			}
-		}
+		d.copyOut(remaining[:n], bi, blockOff)
 		remaining = remaining[n:]
 		pos += n
 	}
@@ -303,18 +355,13 @@ func (d *Device) WriteAt(at sim.Time, p []byte, off int64) (sim.Time, error) {
 			random = true
 			b.bad = false // FTL maps around previously bad pages on rewrite
 		}
-		chunk, ok := d.data[bi]
-		if !ok {
-			chunk = make([]byte, d.cfg.EraseBlockSize)
-			d.data[bi] = chunk
-		}
-		copy(chunk[blockOff:], remaining[:n])
+		d.program(bi, blockOff, remaining[:n])
 		if d.cfg.BitFlipRate > 0 && d.flipRng.Float64() < d.cfg.BitFlipRate {
 			// Latent error: flip one bit somewhere in the bytes just
 			// programmed into this block. Silent — the read path returns
 			// the damaged data without ErrCorrupt.
 			at := blockOff + int64(d.flipRng.Intn(int(n)))
-			chunk[at] ^= 1 << (d.flipRng.Intn(8))
+			d.flip(bi, at, uint(d.flipRng.Intn(8)))
 			d.stats.BitFlips++
 		}
 		if end := blockOff + n; end > b.written {
@@ -537,13 +584,7 @@ func (d *Device) FlipBit(off int64, bit uint) {
 	if off < 0 || off >= d.cfg.Capacity {
 		return
 	}
-	bi := d.blockIndex(off)
-	chunk, ok := d.data[bi]
-	if !ok {
-		chunk = make([]byte, d.cfg.EraseBlockSize)
-		d.data[bi] = chunk
-	}
-	chunk[off%int64(d.cfg.EraseBlockSize)] ^= 1 << (bit % 8)
+	d.flip(d.blockIndex(off), off%int64(d.cfg.EraseBlockSize), bit)
 	d.stats.BitFlips++
 }
 

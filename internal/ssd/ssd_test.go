@@ -68,6 +68,55 @@ func TestUnwrittenReadsZero(t *testing.T) {
 	}
 }
 
+// TestZeroPagesHoldNoMemory checks the model's sparse storage: pages that
+// only ever receive zeros are not allocated yet read back as zeros, a
+// write straddling page and block boundaries round-trips, and zeros
+// written over data replace it.
+func TestZeroPagesHoldNoMemory(t *testing.T) {
+	d := newDevice(t)
+	ps := d.cfg.PageSize
+	allocated := func() int {
+		n := 0
+		for _, pages := range d.data {
+			for _, pg := range pages {
+				if pg != nil {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	// Eight pages starting mid-page, just before a block boundary: only the
+	// two ranges holding nonzero bytes cost memory.
+	buf := make([]byte, 8*ps)
+	buf[10] = 1
+	buf[5*ps+7] = 2
+	off := int64(d.cfg.EraseBlockSize) - int64(3*ps) - 100
+	if _, err := d.WriteAt(0, buf, off); err != nil {
+		t.Fatal(err)
+	}
+	if got := allocated(); got != 2 {
+		t.Fatalf("%d pages allocated, want 2", got)
+	}
+	got := make([]byte, len(buf))
+	if _, err := d.ReadAt(0, got, off); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, buf) {
+		t.Fatal("sparse write did not round-trip")
+	}
+	// Zeros over data: the page stays allocated and now reads as zeros.
+	if _, err := d.WriteAt(0, make([]byte, 16), off); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.ReadAt(0, got[:16], off); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got[:16], make([]byte, 16)) {
+		t.Fatalf("zeros over data read back %x", got[:16])
+	}
+}
+
 func TestBounds(t *testing.T) {
 	d := newDevice(t)
 	buf := make([]byte, 10)

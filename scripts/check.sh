@@ -3,7 +3,8 @@
 # vet, the repo's own invariant checker (purity-lint), build, the full test
 # suite, and a short race pass over the packages that do real concurrency
 # (the parallel write pipeline, its core entry points, the TCP server's
-# per-connection goroutines, and the allocator/shelf locking).
+# per-connection goroutines, the allocator/shelf locking, the pyramid's
+# memtable and scans, and the read-latency tracker).
 #
 # Usage: scripts/check.sh            from the repo root
 set -eu
@@ -73,7 +74,7 @@ echo "== drive-failure lifecycle (scrub repair + online rebuild)"
 go test -run 'TestScrubRepairsAllInjectedCorruption|TestScrubStepPacedWalkerCoversEverything|TestRebuildRestoresRedundancyAndBootRegion|TestRebuildSurvivesSecondFailure|TestOpenAtWithOneNVRAMFailed' ./internal/core/
 
 echo "== go test -race (concurrency-bearing packages)"
-go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/
+go test -race -short ./internal/pipeline/ ./internal/server/ ./internal/dedup/ ./internal/layout/ ./internal/shelf/ ./internal/pyramid/ ./internal/iosched/
 go test -race -short -run 'TestConcurrentWriters|TestConcurrentScrubRebuildForeground' ./internal/core/
 
 echo "== sharded commit lanes (-race multi-lane writers + crash window)"
