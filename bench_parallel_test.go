@@ -1,7 +1,7 @@
 package purity
 
 // Wall-clock (not simulated-time) benchmarks for the parallel write
-// pipeline: BenchmarkParallelWrite drives WriteAtConcurrent from
+// pipeline: BenchmarkParallelWrite drives WriteAt from
 // GOMAXPROCS goroutines, BenchmarkSerialWrite executes the identical
 // workload — the same (volume, offset, content) write sequence — from a
 // single goroutine. The ratio of their MB/s is the pipeline's real-time
@@ -72,7 +72,7 @@ func newLaneWriter(a *core.Array, vol core.VolumeID, w int) *laneWriter {
 func (l *laneWriter) write(b *testing.B) {
 	off := (int64(l.i) * parallelWriteIO) % parallelVolBytes
 	l.gen.Fill(l.buf, l.i*(parallelWriteIO/512))
-	d, err := l.a.WriteAtConcurrent(l.now, l.vol, off, l.buf)
+	d, err := l.a.WriteAt(l.now, l.vol, off, l.buf)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -90,7 +90,7 @@ func runE13(o Options) error {
 				for j := 0; j < perWriter; j++ {
 					off := (int64(j) * ioSize) % volSize
 					gen.Fill(buf, uint64(j)*(ioSize/512))
-					d, err := arr.WriteAtConcurrent(now, vols[i], off, buf)
+					d, err := arr.WriteAt(now, vols[i], off, buf)
 					if err != nil {
 						errs[i] = fmt.Errorf("writer %d op %d: %w", i, j, err)
 						return

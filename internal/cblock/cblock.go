@@ -36,13 +36,15 @@ func Pack(data []byte, compressionEnabled bool) ([]byte, error) {
 	if len(data) > MaxBytes {
 		return nil, ErrTooLarge
 	}
+	// One allocation of the worst-case frame size, so the encoder never
+	// regrows its output.
+	frame := make([]byte, 0, compress.MaxCompressedLen(len(data)))
 	if !compressionEnabled {
 		// compress.Compress falls back to a raw frame when compression
 		// does not help; forcing that path keeps one decoder.
-		frame := make([]byte, 0, compress.MaxCompressedLen(len(data)))
 		return appendRawFrame(frame, data), nil
 	}
-	return compress.Compress(nil, data), nil
+	return compress.Compress(frame, data), nil
 }
 
 // appendRawFrame builds a stored-raw compress frame without running the
@@ -60,9 +62,15 @@ func appendRawFrame(dst, data []byte) []byte {
 	return append(dst, data...)
 }
 
-// Unpack decompresses a cblock frame into its sectors.
+// Unpack decompresses a cblock frame into its sectors, into one buffer of
+// the length the frame header records (checked against MaxBytes first, so
+// a corrupt header cannot reserve more than a cblock).
 func Unpack(frame []byte) ([]byte, error) {
-	out, _, err := compress.Decompress(nil, frame)
+	n, err := compress.DecompressedLen(frame)
+	if err != nil || n > MaxBytes {
+		return nil, ErrCorrupt
+	}
+	out, _, err := compress.Decompress(make([]byte, 0, n), frame)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

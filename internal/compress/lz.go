@@ -249,7 +249,12 @@ func decodeLZ(dst, src []byte, origLen int) ([]byte, int, error) {
 		if offset == 0 || from < base || len(dst)-base+matchLen > origLen {
 			return dst, 0, ErrCorrupt
 		}
-		// Byte-by-byte copy: matches may overlap their own output (runs).
+		if offset >= matchLen {
+			dst = append(dst, dst[from:from+matchLen]...)
+			continue
+		}
+		// A match that overlaps its own output (a run) must be copied
+		// byte by byte: each byte may be one this loop just wrote.
 		for j := 0; j < matchLen; j++ {
 			dst = append(dst, dst[from+j])
 		}

@@ -478,8 +478,9 @@ func (a *Array) placeCBlockLane(at sim.Time, ln *commitLane, medium, sector uint
 }
 
 // laneLiteralChunk places new data into the lane's segment. Unlike the
-// serial literalChunkLocked, repacking a dedup remainder happens with no
-// lock held, and the recent-index inserts go through its own stripes.
+// serial literalChunkLocked, packing a nil frame (a dedup remainder, or an
+// extent prepare guessed would deduplicate) happens with no lock held, and
+// the recent-index inserts go through its own stripes.
 func (a *Array) laneLiteralChunk(at sim.Time, ln *commitLane, medium, sector uint64, part, frame []byte, hashes []uint64, live map[layout.SegmentID]int64) (writeChunk, uint64, sim.Time, error) {
 	if frame == nil {
 		var err error

@@ -6,7 +6,11 @@ import (
 	"sync"
 	"testing"
 
+	"purity/internal/cblock"
 	"purity/internal/crashpoint"
+	"purity/internal/dedup"
+	"purity/internal/layout"
+	"purity/internal/relation"
 	"purity/internal/sim"
 )
 
@@ -66,7 +70,7 @@ func TestLaneWritersSharedContent(t *testing.T) {
 					data = pattern(uint64(i)*1_000_000+uint64(j), (r.Intn(24)+1)*512)
 				}
 				off := int64(r.Intn(int(volSize/512)-len(data)/512)) * 512
-				d, err := a.WriteAtConcurrent(now, vols[i], off, data)
+				d, err := a.WriteAt(now, vols[i], off, data)
 				if err != nil {
 					t.Errorf("writer %d write %d: %v", i, j, err)
 					return
@@ -289,6 +293,191 @@ func TestLaneTelemetryCounters(t *testing.T) {
 		ln.mu.Unlock()
 		if open {
 			t.Fatal("lane still holds an open segment after FlushAll")
+		}
+	}
+}
+
+// addrAt returns the newest address fact covering a volume sector.
+func addrAt(t *testing.T, a *Array, vol VolumeID, sector uint64) relation.AddrRow {
+	t.Helper()
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	row, now, err := a.volumeLocked(0, vol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, ok, _, err := (*lookupAdapter)(a).AddrCovering(now, row.Medium, sector)
+	if err != nil || !ok {
+		t.Fatalf("no address for vol %d sector %d: %v", vol, sector, err)
+	}
+	return r
+}
+
+// TestLaneTemplateDedupsOnceFirstCopySeals: a template written on one lane
+// and rewritten on another while the first copy's segment is still open
+// misses dedup (an open segment cannot be referenced) and stores a second
+// copy on the other lane. Once the first lane's segment seals, rewrites on
+// either lane must deduplicate against that first copy, even though the
+// second copy sits in a segment that is still open — the recent index
+// keeps the first candidate instead of chasing the newest, unsealed one.
+func TestLaneTemplateDedupsOnceFirstCopySeals(t *testing.T) {
+	a, err := Format(laneTestConfig(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v0 := mustCreate(t, a, "a", 4<<20)
+	v1 := mustCreate(t, a, "b", 4<<20)
+	if a.laneFor(v0) == a.laneFor(v1) {
+		t.Fatal("volumes share a lane")
+	}
+	const io = 32 << 10
+	tpl := pattern(4242, io)
+	now := sim.Time(0)
+	write := func(vol VolumeID, off int64, data []byte) {
+		t.Helper()
+		if now, err = a.WriteAt(now, vol, off, data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(v0, 0, tpl) // first copy: v0's lane, open segment
+	write(v1, 0, tpl) // unsealed candidate: misses, second copy on v1's lane
+	ln0 := a.laneFor(v0)
+	for i := int64(1); ln0.rotations.Load() == 0; i++ {
+		if i > 64 {
+			t.Fatal("v0's lane never rotated its segment")
+		}
+		write(v0, i*io, pattern(uint64(9000+i), io))
+	}
+	if open, ok := a.laneFor(v1).openInfo(layout.SegmentID(addrAt(t, a, v1, 0).Segment)); !ok || open.Sealed {
+		t.Fatal("the second copy's segment should still be open")
+	}
+
+	hits := a.Stats().DedupHits
+	const rewrites = 6
+	for i := int64(0); i < rewrites; i++ {
+		vol := v0
+		if i%2 == 1 {
+			vol = v1
+		}
+		write(vol, (80+i)*io, tpl)
+	}
+	if got := a.Stats().DedupHits - hits; got != rewrites {
+		t.Fatalf("%d of %d template rewrites deduplicated after the first copy sealed", got, rewrites)
+	}
+	first := addrAt(t, a, v0, 0)
+	for i := int64(0); i < rewrites; i++ {
+		vol := v0
+		if i%2 == 1 {
+			vol = v1
+		}
+		r := addrAt(t, a, vol, uint64((80+i)*io/cblock.SectorSize))
+		if r.Flags&relation.AddrFlagDedup == 0 || r.Segment != first.Segment || r.SegOff != first.SegOff {
+			t.Fatalf("rewrite %d maps to %+v, want a dedup reference to the first copy %+v", i, r, first)
+		}
+		if got := mustRead(t, a, vol, (80+i)*io, io); !bytes.Equal(got, tpl) {
+			t.Fatalf("rewrite %d reads back wrong bytes", i)
+		}
+	}
+}
+
+// TestLaneMispredictedExtentIsPacked: prepare skips compressing an extent
+// whose first block hash is in the recent index. When the commit path then
+// finds no usable duplicate — the candidate's segment is still open, or
+// only the first block matches — it must pack the extent itself, storing
+// the same frame prepare would have, on the lane path and the serial path.
+func TestLaneMispredictedExtentIsPacked(t *testing.T) {
+	const io = 32 << 10
+	for _, lanes := range []int{1, 2} {
+		a, err := Format(laneTestConfig(lanes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vol := mustCreate(t, a, "v", 4<<20)
+		base := pattern(77, io)
+		unsealed := bytes.Clone(base) // same bytes, candidate not yet sealed
+		headOnly := pattern(78, io)   // only block 0 matches
+		copy(headOnly, base[:cblock.SectorSize])
+		now := mustWrite(t, a, vol, 0, base)
+		for i, data := range [][]byte{unsealed, headOnly} {
+			prep, err := a.prepareWrite(0, data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prep[0].frame != nil {
+				t.Fatalf("lanes=%d case %d: prepare packed an extent the recent index predicted as duplicate", lanes, i)
+			}
+			off := int64(i+1) * io
+			hits := a.Stats().DedupHits
+			if now, err = a.WriteAt(now, vol, off, data); err != nil {
+				t.Fatal(err)
+			}
+			if a.Stats().DedupHits != hits {
+				t.Fatalf("lanes=%d case %d: deduplicated, want a literal write", lanes, i)
+			}
+			want, err := cblock.Pack(data, a.cfg.CompressionEnabled)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := addrAt(t, a, vol, uint64(off/cblock.SectorSize))
+			if r.Flags&relation.AddrFlagDedup != 0 || r.PhysLen != uint64(len(want)) {
+				t.Fatalf("lanes=%d case %d: stored %+v, want a literal of PhysLen %d", lanes, i, r, len(want))
+			}
+			if got := mustRead(t, a, vol, off, io); !bytes.Equal(got, data) {
+				t.Fatalf("lanes=%d case %d: read back wrong bytes", lanes, i)
+			}
+		}
+	}
+}
+
+// TestLaneDedupHitRefreshesRecentIndex: once a template's hashes have aged
+// out of the recent index, a rewrite still deduplicates through the
+// sampled persistent index, and the verified run puts every block of the
+// template back into the recent index at its position in the stored copy.
+func TestLaneDedupHitRefreshesRecentIndex(t *testing.T) {
+	cfg := laneTestConfig(2)
+	cfg.RecentIndexSize = 256
+	a, err := Format(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vol := mustCreate(t, a, "v", 4<<20)
+	const io = 32 << 10
+	// Uniformly random bytes: the index stripes by the low hash bits, and
+	// pattern's repeated words would crowd a few stripes.
+	random := func(seed uint64) []byte {
+		b := make([]byte, io)
+		sim.NewRand(seed).Bytes(b)
+		return b
+	}
+	tpl := random(5150)
+	hashes := dedup.HashBlocks(tpl)
+	now := mustWrite(t, a, vol, 0, tpl)
+	if now, err = a.FlushAll(now); err != nil {
+		t.Fatal(err)
+	}
+	stored := addrAt(t, a, vol, 0)
+	for i := int64(1); i <= 16; i++ {
+		if now, err = a.WriteAt(now, vol, i*io, random(uint64(6000+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, h := range hashes {
+		if _, ok := a.recent.Lookup(h); ok {
+			t.Fatal("template hash survived the churn; the index is too large for this test")
+		}
+	}
+	hits := a.Stats().DedupHits
+	if _, err = a.WriteAt(now, vol, 40*io, tpl); err != nil {
+		t.Fatal(err)
+	}
+	if a.Stats().DedupHits != hits+1 {
+		t.Fatal("template rewrite did not deduplicate")
+	}
+	for j, h := range hashes {
+		c, ok := a.recent.Lookup(h)
+		want := dedup.Candidate{Segment: stored.Segment, SegOff: stored.SegOff, PhysLen: stored.PhysLen, SectorIdx: uint64(j)}
+		if !ok || c != want {
+			t.Fatalf("block %d: recent index holds %+v,%v, want %+v", j, c, ok, want)
 		}
 	}
 }

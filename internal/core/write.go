@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"purity/internal/cblock"
@@ -15,24 +16,30 @@ import (
 // serialize on the work that truly needs ordering (§3.2: monotonic facts
 // need "almost no cross-core synchronization"):
 //
-//   1. prepareWrite — pure CPU, no locks: split into cblock extents,
-//      compress each extent (cblock.Pack) and hash its 512 B blocks
-//      (dedup.HashBlocks). Extents fan out across the shared worker pool.
+//   1. prepareWrite — pure CPU, no engine lock: split into cblock extents,
+//      hash each extent's 512 B blocks (dedup.HashBlocks) and compress it
+//      (cblock.Pack) unless its first block hash is already in the recent
+//      index, i.e. the extent will most likely deduplicate and its frame
+//      would be thrown away. Extents fan out across the shared worker pool.
 //   2. commitWriteLocked — under mu: volume lookup, dedup candidate search
 //      (it reads the index and segments), sequence allocation, segment
-//      placement, the NVRAM commit, and fact application.
+//      placement, the NVRAM commit, and fact application. An extent that
+//      prepare guessed would deduplicate but did not is packed here.
 //
-// Both halves are deterministic: stage 1 is a function of the data alone,
-// and stage 2 runs serially in commit order, so a sequential caller gets
-// bit-for-bit the behavior of the old single-lock path (DESIGN.md
-// invariant 8).
+// Both halves are deterministic in what they store: the recent-index probe
+// in stage 1 only decides *where* an extent is packed, and Pack is a pure
+// function of the payload, so the bytes that reach flash are a function of
+// the data alone; stage 2 runs serially in commit order, so a sequential
+// caller gets bit-for-bit the behavior of the old single-lock path
+// (DESIGN.md invariant 8).
 
 // preparedExtent is one cblock-sized extent of a write after its pure-CPU
-// stages: the packed (compressed) frame for the whole extent and the hash
-// of every 512 B block. Hashes are per-block, so any sub-range of the
-// extent reuses a slice of them; the frame only serves the whole-extent
-// literal case (a dedup hit repacks the literal remainder, which is
-// smaller).
+// stages: the hash of every 512 B block and, unless the extent is expected
+// to deduplicate, the packed (compressed) frame for the whole extent.
+// Hashes are per-block, so any sub-range of the extent reuses a slice of
+// them; the frame only serves the whole-extent literal case (a dedup hit
+// packs the literal remainder, which is smaller, and a nil frame is packed
+// at commit if the extent turns out literal after all).
 type preparedExtent struct {
 	sectorOff uint64 // sector offset within the write
 	part      []byte
@@ -40,7 +47,8 @@ type preparedExtent struct {
 	hashes    []uint64
 }
 
-// prepareWrite validates alignment and runs the lock-free CPU stages.
+// prepareWrite validates alignment and runs the lock-free CPU stages. The
+// recent index is striped and safe to probe without the engine lock.
 func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 	if off%cblock.SectorSize != 0 || len(data)%cblock.SectorSize != 0 || len(data) == 0 {
 		return nil, ErrUnaligned
@@ -56,17 +64,22 @@ func (a *Array) prepareWrite(off int64, data []byte) ([]preparedExtent, error) {
 		i, ext := i, ext
 		tasks[i] = func() {
 			part := data[ext.Offset : ext.Offset+ext.Len]
-			frame, err := cblock.Pack(part, a.cfg.CompressionEnabled)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			prep[i] = preparedExtent{
+			pe := preparedExtent{
 				sectorOff: uint64(ext.Offset) / cblock.SectorSize,
 				part:      part,
-				frame:     frame,
 				hashes:    dedup.HashBlocks(part),
 			}
+			// An extent whose first block is in the recent index will most
+			// likely deduplicate: leave its frame to the commit path, which
+			// packs it only if the guess was wrong.
+			likelyDup := false
+			if a.cfg.DedupEnabled {
+				_, likelyDup = a.recent.Lookup(pe.hashes[0])
+			}
+			if !likelyDup {
+				pe.frame, errs[i] = cblock.Pack(part, a.cfg.CompressionEnabled)
+			}
+			prep[i] = pe
 		}
 	}
 	a.pool.Run(tasks...)
@@ -95,14 +108,6 @@ func (a *Array) WriteAt(at sim.Time, vol VolumeID, off int64, data []byte) (sim.
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.commitWriteLocked(at, vol, off, data, prep)
-}
-
-// WriteAtConcurrent is the concurrent entry point for parallel clients. It
-// is WriteAt by another name — the name documents that callers may invoke
-// it from many goroutines at once (each TCP connection in internal/server
-// does) and records the API contract independently of WriteAt's internals.
-func (a *Array) WriteAtConcurrent(at sim.Time, vol VolumeID, off int64, data []byte) (sim.Time, error) {
-	return a.WriteAt(at, vol, off, data)
 }
 
 // commitWriteLocked is the serial half of a write: everything that orders
@@ -275,21 +280,39 @@ func (a *Array) literalChunkLocked(at sim.Time, medium, sector uint64, part, fra
 // findDuplicateLocked looks every block hash up in the recent index and the
 // persistent dedup relation, byte-verifies the first candidate that pans
 // out, and extends it into a run (§4.7). hashes are part's precomputed
-// block hashes. Caller holds mu.
+// block hashes. A recent-index candidate that fails verification for any
+// reason but an unsealed segment is forgotten; an unsealed one is kept,
+// because it becomes referenceable once its segment seals. The blocks of a
+// verified run are re-added at their candidate positions, so frequently
+// deduplicated data stays in the recent index after FIFO eviction. Caller
+// holds mu.
 func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (dedup.Run, sim.Time, bool) {
 	done := at
+	unsealed := false
 	fetch := func(c dedup.Candidate) ([]byte, bool) {
 		sectors, d, err := a.fetchDurableCBlockLocked(done, c.Segment, c.SegOff, int(c.PhysLen))
 		done = d
+		unsealed = errors.Is(err, errUnsealed)
 		if err != nil {
 			return nil, false
 		}
 		return sectors, true
 	}
+	found := func(run dedup.Run) (dedup.Run, sim.Time, bool) {
+		for j := 0; j < run.Count; j++ {
+			c := run.Cand
+			c.SectorIdx = uint64(run.CandStart + j)
+			a.recent.Add(hashes[run.Start+j], c)
+		}
+		return run, done, true
+	}
 	for i, h := range hashes {
 		if cand, ok := a.recent.Lookup(h); ok {
 			if run, ok := dedup.ExtendAnchor(part, i, cand, fetch); ok {
-				return run, done, true
+				return found(run)
+			}
+			if !unsealed {
+				a.recent.Forget(h, cand)
 			}
 		}
 		f, ok, d, err := a.pyr[relation.IDDedup].Get(done, []uint64{h})
@@ -300,11 +323,14 @@ func (a *Array) findDuplicateLocked(at sim.Time, part []byte, hashes []uint64) (
 		row := relation.DedupFromFact(f)
 		cand := dedup.Candidate{Segment: row.Segment, SegOff: row.SegOff, PhysLen: row.PhysLen, SectorIdx: row.SectorIdx}
 		if run, ok := dedup.ExtendAnchor(part, i, cand, fetch); ok {
-			return run, done, true
+			return found(run)
 		}
 	}
 	return dedup.Run{}, done, false
 }
+
+// errUnsealed rejects a dedup candidate whose segment is still open.
+var errUnsealed = errors.New("core: dedup candidate not yet sealed")
 
 // fetchDurableCBlockLocked reads and decompresses a cblock, but only if its
 // segment is SEALED. Cross-references — dedup mappings, flattened chains,
@@ -319,7 +345,7 @@ func (a *Array) fetchDurableCBlockLocked(at sim.Time, seg, segOff uint64, physLe
 		return nil, at, fmt.Errorf("core: dedup candidate in unknown segment %d", seg)
 	}
 	if !info.Sealed {
-		return nil, at, fmt.Errorf("core: dedup candidate not yet sealed")
+		return nil, at, errUnsealed
 	}
 	return a.readCBlockLocked(at, seg, segOff, physLen)
 }

@@ -14,6 +14,10 @@ import (
 //	          before the engine lock and scales with cores;
 //	full    — a complete WriteAt (prepare + the serial commit section).
 //
+// The /dup variants write a duplicate of a sealed cblock, the common case
+// on clone-heavy workloads: prepare finds it in the recent index and skips
+// compression, and the commit section maps it without storing new bytes.
+//
 // commit cost = full − prepare, and the prepare/full ratio is the
 // parallelizable fraction p of a write. This locates where a single
 // write's CPU goes; for what concurrency actually buys, run E13 (the
@@ -63,6 +67,53 @@ func BenchmarkWriteStages(b *testing.B) {
 			if _, err := a.prepareWrite(0, data); err != nil {
 				b.Fatal(err)
 			}
+		}
+	})
+
+	// sealedDup returns an array whose volume holds one sealed copy of a
+	// 32 KiB payload, and the payload.
+	sealedDup := func(b *testing.B) (*Array, VolumeID, []byte, sim.Time) {
+		a := benchWriteArray(b)
+		vol, now, err := a.CreateVolume(0, "ws", volBytes)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data := compressiblePayload(1, io)
+		if now, err = a.WriteAt(now, vol, 0, data); err != nil {
+			b.Fatal(err)
+		}
+		if now, err = a.FlushAll(now); err != nil {
+			b.Fatal(err)
+		}
+		return a, vol, data, now
+	}
+
+	b.Run("prepare/dup", func(b *testing.B) {
+		a, _, data, _ := sealedDup(b)
+		b.SetBytes(io)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := a.prepareWrite(0, data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	b.Run("full/dup", func(b *testing.B) {
+		a, vol, data, now := sealedDup(b)
+		b.SetBytes(io)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			off := (int64(i+1) * io) % volBytes
+			d, err := a.WriteAt(now, vol, off, data)
+			if err != nil {
+				b.Fatal(err)
+			}
+			now = d
+		}
+		b.StopTimer()
+		if hits := a.Stats().DedupHits; hits < int64(b.N) {
+			b.Fatalf("%d dedup hits over %d duplicate writes", hits, b.N)
 		}
 	})
 

@@ -84,10 +84,12 @@ const (
 
 // recentStripe is one independently locked sub-table, open-addressed with
 // linear probing rather than a Go map: the keys are already 64-bit FNV
-// hashes, so a single multiply spreads them. Eviction (FIFO via the ring)
-// deletes ring[pos] immediately before overwriting the slot, so every live
-// key has exactly one live ring slot and occupancy never exceeds cap; the
-// table is sized 2·cap for a ≤ 0.5 load factor.
+// hashes, so a single multiply spreads them. Eviction is FIFO via the ring:
+// each live key owns the ring slot it was inserted at (owner records it),
+// and an insertion evicts the owner of ring[pos] before taking the slot. A
+// key removed early by Forget leaves its slot unowned, so every live key
+// owns exactly one slot and occupancy never exceeds cap; the table is sized
+// 2·cap for a ≤ 0.5 load factor.
 type recentStripe struct {
 	mu    sync.Mutex
 	cap   int
@@ -96,6 +98,7 @@ type recentStripe struct {
 	shift uint
 	keys  []uint64
 	vals  []Candidate
+	owner []int32 // ring slot owned by each table entry
 	used  []bool
 	ring  []uint64 // insertion order for eviction
 	pos   int
@@ -132,6 +135,7 @@ func newRecentStripe(capacity int) *recentStripe {
 		shift: 64 - bits,
 		keys:  make([]uint64, size),
 		vals:  make([]Candidate, size),
+		owner: make([]int32, size),
 		used:  make([]bool, size),
 		ring:  make([]uint64, capacity),
 	}
@@ -185,34 +189,54 @@ func (r *recentStripe) del(hash uint64) {
 		} else if k <= j || i < k {
 			continue
 		}
-		r.keys[i], r.vals[i] = r.keys[j], r.vals[j]
+		r.keys[i], r.vals[i], r.owner[i] = r.keys[j], r.vals[j], r.owner[j]
 		i = j
 	}
 	r.used[i] = false
 	r.n--
 }
 
-// Add records a block's location, evicting the stripe's oldest entry when
-// the stripe is full.
-func (x *RecentIndex) Add(hash uint64, c Candidate) {
-	r := x.stripe(hash)
+// Add records a block's location unless the hash already has one, evicting
+// the stripe's oldest entry when its ring slot comes round again. The
+// first candidate is kept: a later copy of the same block usually sits in
+// a segment that is still open, which dedup cannot reference until it
+// seals, while the first copy seals first. Repointing the hash at every
+// new copy would keep it permanently unreferenceable under a steady
+// stream of rewrites. A candidate that turns out wrong is removed with
+// Forget, making room for the next copy.
+func (x *RecentIndex) Add(hash uint64, c Candidate) { x.stripe(hash).add(hash, c) }
+
+func (r *recentStripe) add(hash uint64, c Candidate) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if i, ok := r.find(hash); ok {
-		r.vals[i] = c
+	if _, ok := r.find(hash); ok {
 		return
 	}
-	if r.n >= r.cap {
+	if i, ok := r.find(r.ring[r.pos]); ok && r.owner[i] == int32(r.pos) {
 		r.del(r.ring[r.pos])
 	}
 	r.ring[r.pos] = hash
+	i, _ := r.find(hash)
+	r.keys[i], r.vals[i], r.owner[i], r.used[i] = hash, c, int32(r.pos), true
+	r.n++
 	r.pos++
 	if r.pos == r.cap {
 		r.pos = 0
 	}
-	i, _ := r.find(hash)
-	r.keys[i], r.vals[i], r.used[i] = hash, c, true
-	r.n++
+}
+
+// Forget removes the entry for hash if it still records candidate c. A
+// caller that found c stale (moved, freed, or holding other bytes) drops
+// it this way without clobbering a different candidate that replaced it
+// in the meantime.
+func (x *RecentIndex) Forget(hash uint64, c Candidate) { x.stripe(hash).forget(hash, c) }
+
+func (r *recentStripe) forget(hash uint64, c Candidate) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i, ok := r.find(hash); ok && r.vals[i] == c {
+		r.del(hash)
+	}
 }
 
 // Lookup returns the candidate for a hash, if present.

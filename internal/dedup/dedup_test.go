@@ -50,13 +50,59 @@ func TestRecentIndexEviction(t *testing.T) {
 	if c, ok := idx.Lookup(9); !ok || c.Segment != 9 {
 		t.Fatal("entry 9 missing")
 	}
-	// Updating an existing hash does not grow the index.
+	// A second Add for a present hash keeps the first candidate and does
+	// not grow the index.
 	idx.Add(9, Candidate{Segment: 99})
 	if idx.Len() != 4 {
-		t.Fatalf("Len after update = %d", idx.Len())
+		t.Fatalf("Len after second Add = %d", idx.Len())
 	}
-	if c, _ := idx.Lookup(9); c.Segment != 99 {
-		t.Fatal("update lost")
+	if c, _ := idx.Lookup(9); c.Segment != 9 {
+		t.Fatalf("second Add replaced the first candidate: got segment %d", c.Segment)
+	}
+}
+
+// TestRecentIndexForget: Forget drops an entry only while it still holds
+// the stale candidate, and a forgotten key's ring slot neither evicts the
+// key's later re-insertion early nor lets the index outgrow its capacity.
+func TestRecentIndexForget(t *testing.T) {
+	idx := NewRecentIndex(4)
+	stale, fresh := Candidate{Segment: 1}, Candidate{Segment: 2}
+	idx.Add(7, stale)
+	idx.Forget(7, fresh) // not the recorded candidate: no-op
+	if c, ok := idx.Lookup(7); !ok || c != stale {
+		t.Fatalf("Forget of another candidate removed the entry: %v,%v", c, ok)
+	}
+	idx.Forget(7, stale)
+	if _, ok := idx.Lookup(7); ok {
+		t.Fatal("Forget left the stale entry in place")
+	}
+	// The hash is re-added with a new candidate; a late Forget of the old
+	// one (another writer that also found it stale) must not delete it.
+	idx.Add(7, fresh)
+	idx.Forget(7, stale)
+	if c, ok := idx.Lookup(7); !ok || c != fresh {
+		t.Fatalf("Forget deleted a replaced entry: %v,%v", c, ok)
+	}
+	// 7 was re-inserted second; the first slot it owned is orphaned. Three
+	// more inserts fill the ring without evicting it, the fourth evicts it.
+	for h := uint64(100); h < 103; h++ {
+		idx.Add(h, Candidate{Segment: h})
+	}
+	if _, ok := idx.Lookup(7); !ok || idx.Len() != 4 {
+		t.Fatalf("orphaned ring slot evicted the re-added key (Len %d)", idx.Len())
+	}
+	idx.Add(103, Candidate{Segment: 103})
+	if _, ok := idx.Lookup(7); ok {
+		t.Fatal("re-added key outlived its FIFO window")
+	}
+	for h := uint64(200); h < 300; h++ {
+		idx.Add(h, Candidate{Segment: h})
+		if h%3 == 0 {
+			idx.Forget(h-1, Candidate{Segment: h - 1})
+		}
+		if n := idx.Len(); n > 4 {
+			t.Fatalf("Len %d exceeds capacity 4", n)
+		}
 	}
 }
 
@@ -215,69 +261,85 @@ func BenchmarkHash512(b *testing.B) {
 	}
 }
 
+// fifoModel is the map-plus-ring reference for one stripe: the first
+// candidate for a hash is kept, each insertion takes the next ring slot and
+// evicts the key that owns it, and Forget drops a key only if it still
+// holds the given candidate, leaving its slot unowned.
+type fifoModel struct {
+	entries map[uint64]Candidate
+	slot    map[uint64]int // ring slot owned by each live key
+	ring    []uint64
+	pos     int
+}
+
+func newFIFOModel(capacity int) *fifoModel {
+	return &fifoModel{entries: map[uint64]Candidate{}, slot: map[uint64]int{}, ring: make([]uint64, capacity)}
+}
+
+func (m *fifoModel) add(h uint64, c Candidate) {
+	if _, ok := m.entries[h]; ok {
+		return
+	}
+	if old := m.ring[m.pos]; m.slot[old] == m.pos {
+		if _, ok := m.entries[old]; ok {
+			delete(m.entries, old)
+			delete(m.slot, old)
+		}
+	}
+	m.ring[m.pos] = h
+	m.entries[h], m.slot[h] = c, m.pos
+	m.pos = (m.pos + 1) % len(m.ring)
+}
+
+func (m *fifoModel) forget(h uint64, c Candidate) {
+	if got, ok := m.entries[h]; ok && got == c {
+		delete(m.entries, h)
+		delete(m.slot, h)
+	}
+}
+
 // TestRecentStripeAgainstModel churns one open-addressed stripe with random
-// adds and lookups and compares every observation against the simple
+// adds, forgets and lookups and compares every observation against the
 // map-plus-ring model the table replaces. Small key spaces force constant
 // probe-chain collisions and back-shift deletes.
 func TestRecentStripeAgainstModel(t *testing.T) {
 	for _, keySpace := range []uint64{7, 40, 1000} {
 		st := newRecentStripe(16)
-		model := make(map[uint64]Candidate, 16)
-		ring := make([]uint64, 16)
-		pos := 0
+		model := newFIFOModel(16)
 		rng := sim.NewRand(uint64(keySpace) * 7919)
 		for step := 0; step < 20000; step++ {
 			h := uint64(rng.Intn(int(keySpace)))
-			if rng.Intn(3) == 0 {
+			switch op := rng.Intn(6); {
+			case op < 2:
 				var got Candidate
 				i, ok := st.find(h)
 				if ok {
 					got = st.vals[i]
 				}
-				want, wok := model[h]
+				want, wok := model.entries[h]
 				if ok != wok || got != want {
 					t.Fatalf("keySpace %d step %d: find(%d) = %v,%v want %v,%v",
 						keySpace, step, h, got, ok, want, wok)
 				}
 				continue
-			}
-			c := Candidate{Segment: uint64(step), SectorIdx: h}
-			stripeAdd(st, h, c)
-			if _, exists := model[h]; !exists {
-				if len(model) >= 16 {
-					delete(model, ring[pos])
+			case op == 2:
+				// Forget either the recorded candidate or a stale one.
+				c := model.entries[h]
+				if rng.Intn(2) == 0 {
+					c.Segment++
 				}
-				ring[pos] = h
-				pos = (pos + 1) % 16
+				st.forget(h, c)
+				model.forget(h, c)
+			default:
+				c := Candidate{Segment: uint64(step), SectorIdx: h}
+				st.add(h, c)
+				model.add(h, c)
 			}
-			model[h] = c
-			if st.n != len(model) {
-				t.Fatalf("keySpace %d step %d: n = %d want %d", keySpace, step, st.n, len(model))
+			if st.n != len(model.entries) {
+				t.Fatalf("keySpace %d step %d: n = %d want %d", keySpace, step, st.n, len(model.entries))
 			}
 		}
 	}
-}
-
-// stripeAdd is RecentIndex.Add's body applied to one stripe directly, so
-// the model test exercises the probe-chain machinery without the routing.
-func stripeAdd(r *recentStripe, hash uint64, c Candidate) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if i, ok := r.find(hash); ok {
-		r.vals[i] = c
-		return
-	}
-	if r.n >= r.cap {
-		r.del(r.ring[r.pos])
-	}
-	r.ring[r.pos] = hash
-	r.pos++
-	if r.pos == r.cap {
-		r.pos = 0
-	}
-	i, _ := r.find(hash)
-	r.keys[i], r.vals[i], r.used[i] = hash, c, true
-	r.n++
 }
 
 // TestRecentIndexAgainstStripedModel models the full striped index: each
@@ -291,21 +353,16 @@ func TestRecentIndexAgainstStripedModel(t *testing.T) {
 		if nStripes < 2 {
 			t.Fatalf("capacity %d built %d stripes; want striping", capacity, nStripes)
 		}
-		perStripe := capacity / nStripes
-		type stripeModel struct {
-			entries map[uint64]Candidate
-			ring    []uint64
-			pos     int
-		}
-		models := make([]*stripeModel, nStripes)
+		models := make([]*fifoModel, nStripes)
 		for i := range models {
-			models[i] = &stripeModel{entries: map[uint64]Candidate{}, ring: make([]uint64, perStripe)}
+			models[i] = newFIFOModel(capacity / nStripes)
 		}
 		rng := sim.NewRand(keySpace * 104729)
 		for step := 0; step < 20000; step++ {
 			h := uint64(rng.Intn(int(keySpace)))
 			m := models[h&idx.mask]
-			if rng.Intn(3) == 0 {
+			switch op := rng.Intn(7); {
+			case op < 2:
 				got, ok := idx.Lookup(h)
 				want, wok := m.entries[h]
 				if ok != wok || got != want {
@@ -313,17 +370,15 @@ func TestRecentIndexAgainstStripedModel(t *testing.T) {
 						keySpace, step, h, got, ok, want, wok)
 				}
 				continue
+			case op == 2:
+				c := m.entries[h]
+				idx.Forget(h, c)
+				m.forget(h, c)
+			default:
+				c := Candidate{Segment: uint64(step), SectorIdx: h}
+				idx.Add(h, c)
+				m.add(h, c)
 			}
-			c := Candidate{Segment: uint64(step), SectorIdx: h}
-			idx.Add(h, c)
-			if _, exists := m.entries[h]; !exists {
-				if len(m.entries) >= perStripe {
-					delete(m.entries, m.ring[m.pos])
-				}
-				m.ring[m.pos] = h
-				m.pos = (m.pos + 1) % perStripe
-			}
-			m.entries[h] = c
 			total := 0
 			for _, sm := range models {
 				total += len(sm.entries)
@@ -336,8 +391,9 @@ func TestRecentIndexAgainstStripedModel(t *testing.T) {
 }
 
 // TestRecentIndexConcurrent hammers the striped index from many goroutines
-// with overlapping key ranges — run under -race by scripts/check.sh. Every
-// hit must return a value some goroutine actually stored for that hash.
+// with overlapping key ranges, mixing adds, lookups and forgets — run under
+// -race by scripts/check.sh. Every hit must return a value some goroutine
+// actually stored for that hash.
 func TestRecentIndexConcurrent(t *testing.T) {
 	idx := NewRecentIndex(1 << 10)
 	const (
@@ -359,6 +415,10 @@ func TestRecentIndexConcurrent(t *testing.T) {
 						t.Errorf("worker %d: Lookup(%d) returned candidate for wrong hash %d", w, h, c.SectorIdx)
 						return
 					}
+					continue
+				}
+				if i%5 == 1 {
+					idx.Forget(h, Candidate{Segment: uint64(w), SectorIdx: h})
 					continue
 				}
 				idx.Add(h, Candidate{Segment: uint64(w), SectorIdx: h})

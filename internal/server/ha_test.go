@@ -51,9 +51,12 @@ func TestGracefulDrainFinishesInflight(t *testing.T) {
 	second := make(chan error, 1)
 	go func() { _, err := c.ReadAt(vol, 0, 4096); first <- err }()
 	<-entered // first read holds the tenant window's only slot
+	// The first read may itself have waited for the write's slot to free,
+	// so count the second read's wait from here.
+	waits := s.Frontend().AdmissionWaits.Load()
 	go func() { _, err := c.ReadAt(vol, 0, 4096); second <- err }()
 	waitFor(t, "second read parked in admission", func() bool {
-		return s.Frontend().AdmissionWaits.Load() >= 1
+		return s.Frontend().AdmissionWaits.Load() > waits
 	})
 
 	shutDone := make(chan error, 1)
@@ -334,11 +337,17 @@ func TestHeartbeatFailover(t *testing.T) {
 	// Kill the primary: heartbeats stop, the engine's memory is gone.
 	stopBeat()
 	pair.KillPrimary()
+	// The monitor counts a failover after FailoverTo returns, so the pair
+	// can report the new owner a moment before the counter moves: wait on
+	// the counter, then check the owner it implies.
 	waitFor(t, "monitor-driven failover", func() bool {
-		return pair.Active() == controller.Secondary
+		return sec.Frontend().Failovers.Load() >= 1
 	})
-	if sec.Frontend().Failovers.Load() != 1 {
-		t.Fatalf("Failovers = %d", sec.Frontend().Failovers.Load())
+	if n := sec.Frontend().Failovers.Load(); n != 1 {
+		t.Fatalf("Failovers = %d", n)
+	}
+	if pair.Active() != controller.Secondary {
+		t.Fatalf("active = %v after failover, want secondary", pair.Active())
 	}
 	// The survivor serves the data.
 	c2, err := client.DialPipelined(secAddr)

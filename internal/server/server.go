@@ -14,7 +14,7 @@
 // worker set that dispatches into the engine out of order, and a single
 // writer that serializes completions back onto the socket so response
 // frames can never interleave. The engine's write path runs compression and
-// dedup hashing before taking its lock (core.Array.WriteAtConcurrent), so N
+// dedup hashing before taking its lock (core.Array.WriteAt), so N
 // in-flight requests use N cores for the CPU-heavy stages; with
 // Config.CommitLanes > 1 the commit section itself shards into per-volume
 // lanes (DESIGN.md, "Sharded commit").

@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repo's one-command gate. Runs what CI would: formatting,
 # vet, the repo's own invariant checker (purity-lint), build, the full test
-# suite, and a short race pass over the packages that do real concurrency
+# suite, the benchmark module's tests (perfbench/), and a short race pass over the packages that do real concurrency
 # (the parallel write pipeline, its core entry points, the TCP server's
 # per-connection goroutines, the allocator/shelf locking, the pyramid's
 # memtable and scans, and the read-latency tracker).
@@ -66,6 +66,9 @@ go build ./...
 
 echo "== go test"
 go test ./...
+
+echo "== perfbench (the repo benchmark's own tests: shrunk oltp/vdi/overwrite runs, every read checked against the oracle)"
+(cd perfbench && go test ./...)
 
 echo "== crash-consistency sweep (short, incl. rebuild fault points; full sweep: purity-bench -experiment CS)"
 go test -short -run 'TestCrashSweep|TestTornTailRecovery|TestCorruptTailRecovery|TestCrashDuringRecovery' ./internal/core/
