@@ -38,30 +38,23 @@ func (a *Array) addrValidLocked(r relation.AddrRow) bool {
 func (l *lookupAdapter) AddrCovering(at sim.Time, med, sector uint64) (relation.AddrRow, bool, sim.Time, error) {
 	a := (*Array)(l)
 	// Entries may overlap; the newest covering entry wins. A covering
-	// entry's key is within MaxCBlockSectors below the sector, so a
-	// bounded version scan finds every candidate.
+	// entry's key is within MaxCBlockSectors below the sector, so the
+	// newest valid entry in that key range whose span reaches the sector
+	// is the answer.
 	lo := uint64(0)
 	if sector >= medium.MaxCBlockSectors-1 {
 		lo = sector - (medium.MaxCBlockSectors - 1)
 	}
-	var best relation.AddrRow
-	var bestSeq tuple.Seq
-	found := false
-	done, err := a.pyr[relation.IDAddrs].ScanVersions(at,
+	f, found, done, err := a.pyr[relation.IDAddrs].Newest(at,
 		[]uint64{med, lo}, []uint64{med, sector},
 		func(f tuple.Fact) bool {
 			r := relation.AddrFromFact(f)
-			if r.Sector+r.Sectors > sector && (!found || f.Seq > bestSeq) && a.addrValidLocked(r) {
-				best = r
-				bestSeq = f.Seq
-				found = true
-			}
-			return true
+			return r.Sector+r.Sectors > sector && a.addrValidLocked(r)
 		})
-	if err != nil {
+	if err != nil || !found {
 		return relation.AddrRow{}, false, done, err
 	}
-	return best, found, done, nil
+	return relation.AddrFromFact(f), true, done, nil
 }
 
 // AddrCeil returns the entry with the least starting sector ≥ sector.

@@ -12,11 +12,18 @@ import (
 // memtable (a 32 KiB-cblock prefill overwritten by scattered 4 KiB writes,
 // with checkpoints in between):
 //
-//	resolve   — medium.ResolveAll for one 4 KiB read: the address-map
-//	            scans (AddrCovering, AddrCeil) and medium-table floors;
-//	full/hit  — a complete 4 KiB ReadAt served from the cblock cache;
-//	full/miss — a complete 4 KiB ReadAt whose cblock is not cached
-//	            (segment read, checksum, decompress).
+//	resolve             — medium.ResolveAll for the 4 KiB read full/hit
+//	                      repeats: the address-map lookups (AddrCovering,
+//	                      AddrCeil) and medium-table floors;
+//	resolve/interleaved — the same resolution with one untimed 4 KiB
+//	                      overwrite of a hot unit of that cblock before
+//	                      each read, as a served mix interleaves them: the
+//	                      memtable carries an unsorted suffix and keys with
+//	                      many versions;
+//	full/hit            — a complete 4 KiB ReadAt served from the cblock
+//	                      cache;
+//	full/miss           — a complete 4 KiB ReadAt whose cblock is not
+//	                      cached (segment read, checksum, decompress).
 //
 // full/hit − resolve is the per-read engine overhead (locking, CPU model,
 // hedging bookkeeping); full/miss − full/hit is the device read path.
@@ -74,23 +81,25 @@ func readBenchOffset(i int) int64 {
 
 func BenchmarkReadStages(b *testing.B) {
 	a, vol, now := benchReadArray(b)
-
-	b.Run("resolve", func(b *testing.B) {
+	a.mu.Lock()
+	row, _, err := a.volumeLocked(now, vol)
+	a.mu.Unlock()
+	if err != nil {
+		b.Fatal(err)
+	}
+	hitSector := uint64(readBenchOffset(0)) / 512
+	resolve := func(b *testing.B) {
 		a.mu.Lock()
-		row, _, err := a.volumeLocked(now, vol)
+		_, _, err := medium.ResolveAll(now, (*lookupAdapter)(a), row.Medium, hitSector, readBenchIO/512)
 		a.mu.Unlock()
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
+	}
+
+	b.Run("resolve", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sector := uint64(readBenchOffset(i)) / 512
-			a.mu.Lock()
-			_, _, err := medium.ResolveAll(now, (*lookupAdapter)(a), row.Medium, sector, readBenchIO/512)
-			a.mu.Unlock()
-			if err != nil {
-				b.Fatal(err)
-			}
+			resolve(b)
 		}
 	})
 
@@ -111,4 +120,21 @@ func BenchmarkReadStages(b *testing.B) {
 	}
 	b.Run("full/hit", func(b *testing.B) { full(b, func(int) int64 { return readBenchOffset(0) }) })
 	b.Run("full/miss", func(b *testing.B) { full(b, readBenchOffset) })
+
+	// Last, because its writes change the array the others read.
+	b.Run("resolve/interleaved", func(b *testing.B) {
+		const hotUnits = 8 // the 4 KiB units of the 32 KiB cblock read above
+		at := now
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			off := readBenchOffset(0) + int64(i%hotUnits)*readBenchIO
+			done, err := a.WriteAt(at, vol, off, compressiblePayload(uint64(i), readBenchIO))
+			if err != nil {
+				b.Fatal(err)
+			}
+			at = done
+			b.StartTimer()
+			resolve(b)
+		}
+	})
 }

@@ -61,9 +61,9 @@ type Candidate struct {
 // bounded index holds the short-term ones. Safe for concurrent use.
 //
 // The index is lock-striped: independent sub-tables, each with its own
-// mutex, routed by the low bits of the block hash. Every 512 B block of
-// every write probes the index, and with the sharded commit lanes several
-// writes probe it at once — one global mutex here would put a serial
+// mutex, routed by bits of the block hash (RecentIndex.stripe). Every
+// 512 B block of every write probes the index, and with the sharded commit
+// lanes several writes probe it at once — one global mutex here would put a serial
 // section back under the hottest loop of the write path. Striping changes
 // eviction from one global FIFO to a per-stripe FIFO of 1/Nth the
 // capacity; FNV hashes spread uniformly, so the aggregate recency window
@@ -141,11 +141,14 @@ func newRecentStripe(capacity int) *recentStripe {
 	}
 }
 
-// stripe routes a hash to its stripe by the low bits; slot selection inside
-// a stripe uses the Fibonacci-multiplied high bits, so the two choices stay
-// independent.
+// stripe routes a hash to its stripe by its low bits folded with its high
+// half. FNV-1a's low bits alone depend only on the low bits of each input
+// byte, so data whose bytes repeat in pairs would crowd a few stripes; the
+// multiplies carry every input bit into the high half. Slot selection
+// inside a stripe uses the Fibonacci-multiplied top bits, so the two
+// choices stay independent.
 func (x *RecentIndex) stripe(h uint64) *recentStripe {
-	return x.stripes[h&x.mask]
+	return x.stripes[(h^h>>32)&x.mask]
 }
 
 // slot returns the home slot for a hash (Fibonacci hashing: the keys are

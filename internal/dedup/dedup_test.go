@@ -344,7 +344,7 @@ func TestRecentStripeAgainstModel(t *testing.T) {
 
 // TestRecentIndexAgainstStripedModel models the full striped index: each
 // stripe is an independent FIFO of 1/Nth the capacity, routed by the low
-// hash bits.
+// hash bits folded with the high half.
 func TestRecentIndexAgainstStripedModel(t *testing.T) {
 	const capacity = 64
 	for _, keySpace := range []uint64{90, 4000} {
@@ -359,8 +359,9 @@ func TestRecentIndexAgainstStripedModel(t *testing.T) {
 		}
 		rng := sim.NewRand(keySpace * 104729)
 		for step := 0; step < 20000; step++ {
-			h := uint64(rng.Intn(int(keySpace)))
-			m := models[h&idx.mask]
+			// Keys spread over all 64 bits, so routing sees both halves.
+			h := uint64(rng.Intn(int(keySpace))) * 0x9E3779B97F4A7C15
+			m := models[(h^h>>32)&idx.mask]
 			switch op := rng.Intn(7); {
 			case op < 2:
 				got, ok := idx.Lookup(h)
@@ -428,5 +429,51 @@ func TestRecentIndexConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := idx.Len(); n == 0 {
 		t.Fatal("index empty after concurrent churn")
+	}
+}
+
+// corePattern is internal/core's test payload: every 16-byte run is one
+// random uint64's eight bytes, twice.
+func corePattern(seed uint64, n int) []byte {
+	out := make([]byte, n)
+	r := sim.NewRand(seed)
+	for i := 0; i < n; i += 16 {
+		v := r.Uint64()
+		for j := 0; j < 16 && i+j < n; j++ {
+			out[i+j] = byte(v >> (j % 8 * 8))
+		}
+	}
+	return out
+}
+
+// TestRecentIndexStripesSpreadPattern pins the stripe routing against the
+// core tests' payload. An FNV-1a hash's low bits depend only on the low
+// bits of each input byte, and corePattern repeats every byte an even
+// number of times, so routing by the low bits crowds a few stripes. Over
+// 8,192 blocks every stripe must hold within 25% of its even share (the
+// binomial spread is about 6%).
+func TestRecentIndexStripesSpreadPattern(t *testing.T) {
+	idx := NewRecentIndex(1 << 16)
+	n := len(idx.stripes)
+	if n < 16 {
+		t.Fatalf("%d stripes; the check needs 16", n)
+	}
+	counts := make([]int, n)
+	stripeOf := map[*recentStripe]int{}
+	for i, s := range idx.stripes {
+		stripeOf[s] = i
+	}
+	blocks := 0
+	for seed := uint64(1); seed <= 8; seed++ {
+		for _, h := range HashBlocks(corePattern(seed, 512<<10)) {
+			counts[stripeOf[idx.stripe(h)]]++
+			blocks++
+		}
+	}
+	share := float64(blocks) / float64(n)
+	for i, c := range counts {
+		if float64(c) < 0.75*share || float64(c) > 1.25*share {
+			t.Fatalf("stripe %d holds %d of %d blocks, want %.0f ± 25%% (all: %v)", i, c, blocks, share, counts)
+		}
 	}
 }

@@ -15,14 +15,18 @@ import (
 )
 
 // Lookup is the resolver's window onto the metadata pyramids. The engine
-// implements it with range queries over the address map and medium table
+// implements it with lookups over the address map and medium table
 // relations.
 //
 // Address-map entries are ranges that may overlap (a small overwrite lands
 // inside an older, larger cblock's range); the winner for any sector is the
 // covering entry with the highest sequence number, which AddrCovering must
 // return. Entries span at most MaxCBlockSectors sectors, so implementations
-// only need to examine keys in (sector-MaxCBlockSectors, sector].
+// only need to examine keys in (sector-MaxCBlockSectors, sector]. The
+// engine asks its address-map pyramid for the newest fact in that key range
+// whose entry reaches the sector (pyramid.Newest), reading its sources
+// newest first and stopping short of any patch older than the best match;
+// it never materializes the range's other versions.
 type Lookup interface {
 	// AddrCovering returns the newest (highest-seq) entry whose sector
 	// range covers the given sector.

@@ -36,12 +36,11 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 				best = f
 			}
 		}
-		// The memtable is sorted in place and its buffers are reused, so it
-		// is searched under the lock; the copy-on-write patch list is
-		// snapshotted in the same critical section.
+		// The memtable's buffers are reordered by sorts, so it is searched
+		// under the lock; the copy-on-write patch list is snapshotted in
+		// the same critical section.
 		p.mu.Lock()
-		p.sortMemLocked()
-		f, ok := ceilInMem(p.mem, prefix, target, p.cfg.Schema.KeyCols)
+		f, ok := ceilInMem(p.memViewLocked(), prefix, target)
 		patches := p.patches
 		p.mu.Unlock()
 		if ok {
@@ -71,20 +70,24 @@ func (p *Pyramid) GetCeil(at sim.Time, prefix []uint64, col uint64) (tuple.Fact,
 	}
 }
 
-func ceilInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tuple.Fact, bool) {
+// ceilInMem finds the memtable's ceiling candidate: the newest version of
+// the least key ≥ prefix++[col], if that key is within prefix.
+func ceilInMem(v memView, prefix []uint64, col uint64) (tuple.Fact, bool) {
 	tk := append(append([]uint64(nil), prefix...), col)
-	idx := sort.Search(len(mem), func(i int) bool {
-		return tuple.CompareKeys(mem[i].Cols, tk, keyCols) >= 0
-	})
-	if idx == len(mem) {
+	var key []uint64
+	if i := v.search(v.sorted, tk, false); i < len(v.sorted) {
+		key = v.sorted[i].Cols
+	}
+	for _, f := range v.tail {
+		if tuple.CompareKeys(f.Cols, tk, v.k) >= 0 && (key == nil || tuple.CompareKeys(f.Cols, key, v.k) < 0) {
+			key = f.Cols
+		}
+	}
+	if key == nil || tuple.CompareKeys(key, prefix, len(prefix)) != 0 {
 		return tuple.Fact{}, false
 	}
-	cand := mem[idx]
-	if tuple.CompareKeys(cand.Cols, prefix, len(prefix)) != 0 {
-		return tuple.Fact{}, false
-	}
-	// idx is the run start of its key (key asc, seq desc): newest version.
-	return cand, true
+	var buf [4]tuple.Fact
+	return v.appendRange(buf[:0], key, key)[0], true
 }
 
 func (p *Pyramid) ceilInPatch(at sim.Time, patch *Patch, prefix []uint64, col uint64) (tuple.Fact, bool, sim.Time, error) {

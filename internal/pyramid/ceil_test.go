@@ -70,19 +70,27 @@ func TestCeilSkipsElided(t *testing.T) {
 	wantCeil(t, p, 2, 0, 20, 2)
 }
 
+// TestCeilAgainstModel checks GetCeil against the newest value per sector
+// over flushed, merged patches and a memtable in each shape of
+// suffixCases.
 func TestCeilAgainstModel(t *testing.T) {
 	r := sim.NewRand(9)
 	p := newFloorPyramid(t, nil)
 	model := map[uint64]uint64{}
 	seq := tuple.Seq(0)
-	for step := 0; step < 1200; step++ {
-		switch r.Intn(8) {
-		case 0, 1, 2, 3, 4:
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
 			sector := uint64(r.Intn(400))
 			val := uint64(r.Intn(1 << 30))
 			seq++
 			p.Insert([]tuple.Fact{f4(seq, 1, sector, val)})
 			model[sector] = val
+		}
+	}
+	for step := 0; step < 1200; step++ {
+		switch r.Intn(8) {
+		case 0, 1, 2, 3, 4:
+			insert(1)
 		case 5, 6:
 			if _, err := p.Flush(0, seq); err != nil {
 				t.Fatal(err)
@@ -93,24 +101,27 @@ func TestCeilAgainstModel(t *testing.T) {
 			}
 		}
 	}
-	for probe := uint64(0); probe < 420; probe += 3 {
-		var wantSector uint64
-		wantFound := false
-		for s := range model {
-			if s >= probe && (!wantFound || s < wantSector) {
-				wantSector = s
-				wantFound = true
+	for _, sc := range suffixCases {
+		for probe := uint64(0); probe < 420; probe += 3 {
+			reshapeMem(t, p, sc.n, insert)
+			var wantSector uint64
+			wantFound := false
+			for s := range model {
+				if s >= probe && (!wantFound || s < wantSector) {
+					wantSector = s
+					wantFound = true
+				}
 			}
-		}
-		f, ok, _, err := p.GetCeil(0, []uint64{1}, probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != wantFound {
-			t.Fatalf("probe %d: found=%v want %v", probe, ok, wantFound)
-		}
-		if ok && (f.Cols[1] != wantSector || f.Cols[2] != model[wantSector]) {
-			t.Fatalf("probe %d: got %d/%d want %d/%d", probe, f.Cols[1], f.Cols[2], wantSector, model[wantSector])
+			f, ok, _, err := p.GetCeil(0, []uint64{1}, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantFound {
+				t.Fatalf("%s: probe %d: found=%v want %v", sc.name, probe, ok, wantFound)
+			}
+			if ok && (f.Cols[1] != wantSector || f.Cols[2] != model[wantSector]) {
+				t.Fatalf("%s: probe %d: got %d/%d want %d/%d", sc.name, probe, f.Cols[1], f.Cols[2], wantSector, model[wantSector])
+			}
 		}
 	}
 }

@@ -46,12 +46,11 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 			}
 		}
 
-		// The memtable is sorted in place and its buffers are reused, so it
-		// is searched under the lock; the copy-on-write patch list is
-		// snapshotted in the same critical section.
+		// The memtable's buffers are reordered by sorts, so it is searched
+		// under the lock; the copy-on-write patch list is snapshotted in
+		// the same critical section.
 		p.mu.Lock()
-		p.sortMemLocked()
-		f, ok := floorInMem(p.mem, prefix, target, p.cfg.Schema.KeyCols)
+		f, ok := floorInMem(p.memViewLocked(), prefix, target)
 		patches := p.patches
 		p.mu.Unlock()
 		if ok {
@@ -82,27 +81,24 @@ func (p *Pyramid) GetFloor(at sim.Time, prefix []uint64, col uint64) (tuple.Fact
 	}
 }
 
-// floorInMem finds the per-source floor candidate in the sorted memtable.
-func floorInMem(mem []tuple.Fact, prefix []uint64, col uint64, keyCols int) (tuple.Fact, bool) {
+// floorInMem finds the memtable's floor candidate: the newest version of
+// the greatest key ≤ prefix++[col], if that key is within prefix.
+func floorInMem(v memView, prefix []uint64, col uint64) (tuple.Fact, bool) {
 	tk := append(append([]uint64(nil), prefix...), col)
-	// First index with key > tk. Versions sort seq-desc after equal keys,
-	// so the run of key tk (if any) ends just before this index.
-	idx := sort.Search(len(mem), func(i int) bool {
-		return tuple.CompareKeys(mem[i].Cols, tk, keyCols) > 0
-	})
-	if idx == 0 {
+	var key []uint64
+	if i := v.search(v.sorted, tk, true); i > 0 {
+		key = v.sorted[i-1].Cols
+	}
+	for _, f := range v.tail {
+		if tuple.CompareKeys(f.Cols, tk, v.k) <= 0 && (key == nil || tuple.CompareKeys(f.Cols, key, v.k) > 0) {
+			key = f.Cols
+		}
+	}
+	if key == nil || tuple.CompareKeys(key, prefix, len(prefix)) != 0 {
 		return tuple.Fact{}, false
 	}
-	cand := mem[idx-1]
-	if tuple.CompareKeys(cand.Cols, prefix, len(prefix)) != 0 {
-		return tuple.Fact{}, false
-	}
-	// Walk to the start of this key's run: the newest version.
-	start := idx - 1
-	for start > 0 && tuple.CompareKeys(mem[start-1].Cols, cand.Cols, keyCols) == 0 {
-		start--
-	}
-	return mem[start], true
+	var buf [4]tuple.Fact
+	return v.appendRange(buf[:0], key, key)[0], true
 }
 
 // floorInPatch finds the per-source floor candidate within one patch.

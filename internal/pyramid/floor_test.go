@@ -146,19 +146,27 @@ func TestFloorElidedStepDown(t *testing.T) {
 	wantFloor(t, p, 2, 25, 10, 1)
 }
 
+// TestFloorAgainstModel checks GetFloor against the newest value per
+// sector over flushed, merged patches and a memtable in each shape of
+// suffixCases.
 func TestFloorAgainstModel(t *testing.T) {
 	r := sim.NewRand(7)
 	p := newFloorPyramid(t, nil)
 	model := map[uint64]uint64{} // sector -> val for medium 1
 	seq := tuple.Seq(0)
-	for step := 0; step < 1500; step++ {
-		switch r.Intn(8) {
-		case 0, 1, 2, 3, 4:
+	insert := func(n int) {
+		for i := 0; i < n; i++ {
 			sector := uint64(r.Intn(500))
 			val := uint64(r.Intn(1 << 30))
 			seq++
 			p.Insert([]tuple.Fact{f4(seq, 1, sector, val)})
 			model[sector] = val
+		}
+	}
+	for step := 0; step < 1500; step++ {
+		switch r.Intn(8) {
+		case 0, 1, 2, 3, 4:
+			insert(1)
 		case 5, 6:
 			if _, err := p.Flush(0, seq); err != nil {
 				t.Fatal(err)
@@ -169,25 +177,28 @@ func TestFloorAgainstModel(t *testing.T) {
 			}
 		}
 	}
-	for probe := uint64(0); probe < 520; probe += 7 {
-		var wantSector uint64
-		wantFound := false
-		for s := range model {
-			if s <= probe && (!wantFound || s > wantSector) {
-				wantSector = s
-				wantFound = true
+	for _, sc := range suffixCases {
+		for probe := uint64(0); probe < 520; probe += 7 {
+			reshapeMem(t, p, sc.n, insert)
+			var wantSector uint64
+			wantFound := false
+			for s := range model {
+				if s <= probe && (!wantFound || s > wantSector) {
+					wantSector = s
+					wantFound = true
+				}
 			}
-		}
-		f, ok, _, err := p.GetFloor(0, []uint64{1}, probe)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ok != wantFound {
-			t.Fatalf("probe %d: found=%v want %v", probe, ok, wantFound)
-		}
-		if ok && (f.Cols[1] != wantSector || f.Cols[2] != model[wantSector]) {
-			t.Fatalf("probe %d: got sector %d val %d, want %d/%d",
-				probe, f.Cols[1], f.Cols[2], wantSector, model[wantSector])
+			f, ok, _, err := p.GetFloor(0, []uint64{1}, probe)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ok != wantFound {
+				t.Fatalf("%s: probe %d: found=%v want %v", sc.name, probe, ok, wantFound)
+			}
+			if ok && (f.Cols[1] != wantSector || f.Cols[2] != model[wantSector]) {
+				t.Fatalf("%s: probe %d: got sector %d val %d, want %d/%d",
+					sc.name, probe, f.Cols[1], f.Cols[2], wantSector, model[wantSector])
+			}
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package pyramid
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"purity/internal/pagecodec"
@@ -10,28 +12,153 @@ import (
 
 func seqOf(v uint64) tuple.Seq { return tuple.Seq(v) }
 
+// memSuffixMax bounds the unsorted memtable suffix a reader filters
+// linearly before it forces an (incremental) re-sort. Writes append to the
+// memtable between reads, so a reader that sorted on every call would pay
+// a merge of the whole memtable after each insert batch — the dedup index
+// is probed once per 512 B block of every write, the address map once per
+// read.
+const memSuffixMax = 64
+
+// memView is the memtable as every reader sees it: a prefix in stable
+// (key asc, seq desc) order and an unsorted suffix of at most
+// memSuffixMax facts inserted since the last sort. It aliases the
+// memtable's buffers, which sorts reorder in place, so it is valid only
+// while mu is held.
+type memView struct {
+	sorted, tail []tuple.Fact
+	k            int
+}
+
+// memViewLocked returns the memtable view, re-sorting only when the
+// unsorted suffix has outgrown memSuffixMax. Get, scan, GetCeil, GetFloor
+// and Newest all read the memtable through it. Caller holds mu.
+func (p *Pyramid) memViewLocked() memView {
+	if len(p.mem)-p.sortedLen > memSuffixMax {
+		p.sortMemLocked()
+	}
+	return memView{sorted: p.mem[:p.sortedLen], tail: p.mem[p.sortedLen:], k: p.cfg.Schema.KeyCols}
+}
+
+// search returns the first index of s, a run of the sorted prefix, whose
+// key is ≥ key, or > key when after is set.
+func (v memView) search(s []tuple.Fact, key []uint64, after bool) int {
+	if v.k == 1 {
+		// Single-column keys (the dedup index) take a hand-rolled search:
+		// no closure, no generic key compare. "First > key" is "first ≥
+		// key+1" (key+1 wraps only at the top of the key space).
+		key0 := key[0]
+		if after {
+			if key0 == ^uint64(0) {
+				return len(s)
+			}
+			key0++
+		}
+		lo, hi := 0, len(s)
+		for lo < hi {
+			mid := int(uint(lo+hi) >> 1)
+			if s[mid].Cols[0] < key0 {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return lo
+	}
+	return sort.Search(len(s), func(i int) bool {
+		c := tuple.CompareKeys(s[i].Cols, key, v.k)
+		return c > 0 || (!after && c == 0)
+	})
+}
+
+// appendRange appends every memtable fact with key in [lo, hi] (inclusive;
+// nil bounds are open) to dst, in exactly the order a full stable sort of
+// the memtable would put them: key asc, seq desc, ties in insertion order.
+// The sorted prefix's run is found by binary search; the suffix is
+// filtered linearly, and its few matches are merged in behind equal
+// prefix facts, which were inserted earlier.
+func (v memView) appendRange(dst []tuple.Fact, lo, hi []uint64) []tuple.Fact {
+	k := v.k
+	i, j := 0, len(v.sorted)
+	if lo != nil {
+		i = v.search(v.sorted, lo, false)
+	}
+	if hi != nil {
+		// Runs are usually short (one key's versions, for Get): gallop
+		// from i to bracket the end, then binary-search the last step.
+		rest := v.sorted[i:]
+		n := 1
+		for n < len(rest) && tuple.CompareKeys(rest[n-1].Cols, hi, k) <= 0 {
+			n *= 2
+		}
+		j = i + v.search(rest[:min(n, len(rest))], hi, true)
+	}
+	run := v.sorted[i:j]
+	var tm []tuple.Fact
+	if k == 1 {
+		// The dedup index's shape, probed per 512 B block written: the
+		// bounds live in registers and the loop body is one compare.
+		l, h := uint64(0), ^uint64(0)
+		if lo != nil {
+			l = lo[0]
+		}
+		if hi != nil {
+			h = hi[0]
+		}
+		for t := range v.tail {
+			if c := v.tail[t].Cols[0]; c >= l && c <= h {
+				tm = append(tm, v.tail[t])
+			}
+		}
+	} else {
+		for t := range v.tail {
+			if cols := v.tail[t].Cols; (lo == nil || tuple.CompareKeys(cols, lo, k) >= 0) && (hi == nil || tuple.CompareKeys(cols, hi, k) <= 0) {
+				tm = append(tm, v.tail[t])
+			}
+		}
+	}
+	if len(tm) == 0 {
+		return append(dst, run...)
+	}
+	slices.SortStableFunc(tm, func(a, b tuple.Fact) int {
+		if c := tuple.CompareKeys(a.Cols, b.Cols, k); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.Seq, a.Seq)
+	})
+	for len(run) > 0 && len(tm) > 0 {
+		if tuple.Less(tm[0], run[0], k) {
+			dst = append(dst, tm[0])
+			tm = tm[1:]
+		} else {
+			dst = append(dst, run[0])
+			run = run[1:]
+		}
+	}
+	dst = append(dst, run...)
+	return append(dst, tm...)
+}
+
 // Get returns the newest non-elided fact with exactly this key. Patches
 // hold disjoint, ordered sequence ranges, so the first source (memtable,
 // then patches newest-first) containing the key holds its newest version.
-// memSuffixMax bounds how many unsorted memtable facts Get will scan
-// linearly before forcing a (incremental) re-sort. Point lookups — the
-// dedup index is probed once per 512 B block of every write — would
-// otherwise pay a full memtable merge after every insert batch.
-const memSuffixMax = 64
-
 func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, error) {
 	k := p.cfg.Schema.KeyCols
 	done := at
 
-	// The memtable is sorted in place and its buffers are reused, so it is
-	// searched under the lock. The patch list is copy-on-write
-	// (installPatchLocked builds a fresh slice), so the header snapshot
-	// needs no copy.
+	// The memtable's buffers are reordered by sorts, so it is searched
+	// under the lock. The patch list is copy-on-write (installPatchLocked
+	// builds a fresh slice), so the header snapshot needs no copy.
+	var buf [4]tuple.Fact
 	p.mu.Lock()
-	if len(p.mem)-p.sortedLen > memSuffixMax {
-		p.sortMemLocked()
+	var f tuple.Fact
+	found := false
+	for _, v := range p.memViewLocked().appendRange(buf[:0], key, key) {
+		if !p.elided(v) {
+			f, found = v, true
+			break
+		}
 	}
-	f, found := p.getMemLocked(key)
 	patches := p.patches
 	p.mu.Unlock()
 	if found {
@@ -63,77 +190,6 @@ func (p *Pyramid) Get(at sim.Time, key []uint64) (tuple.Fact, bool, sim.Time, er
 		}
 	}
 	return tuple.Fact{}, false, done, nil
-}
-
-// getMemLocked returns the memtable's newest non-elided fact with exactly
-// this key. The sorted prefix is binary-searched; facts inserted since the
-// last sort (a bounded suffix) are scanned linearly. The two match streams
-// are merged in (seq desc, insertion asc) order — exactly the order a full
-// stable sort would produce — and the first non-elided match is the newest
-// version. Caller holds mu.
-func (p *Pyramid) getMemLocked(key []uint64) (tuple.Fact, bool) {
-	k := p.cfg.Schema.KeyCols
-	mem := p.mem
-	prefix := mem[:p.sortedLen]
-	var i int
-	if k == 1 {
-		// Single-column keys (the dedup index) take a hand-rolled search:
-		// no closure, no generic key compare.
-		key0 := key[0]
-		lo, hi := 0, len(prefix)
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if prefix[mid].Cols[0] < key0 {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
-		i = lo
-	} else {
-		i = sort.Search(len(prefix), func(i int) bool {
-			return tuple.CompareKeys(prefix[i].Cols, key, k) >= 0
-		})
-	}
-	var sm []tuple.Fact // suffix matches, insertion order
-	if k == 1 {
-		key0 := key[0]
-		for _, f := range mem[p.sortedLen:] {
-			if f.Cols[0] == key0 {
-				sm = append(sm, f)
-			}
-		}
-	} else {
-		for _, f := range mem[p.sortedLen:] {
-			if tuple.CompareKeys(f.Cols, key, k) == 0 {
-				sm = append(sm, f)
-			}
-		}
-	}
-	if len(sm) > 1 {
-		sort.SliceStable(sm, func(a, b int) bool { return sm[a].Seq > sm[b].Seq })
-	}
-	si := 0
-	for {
-		havePre := i < len(prefix) && tuple.CompareKeys(prefix[i].Cols, key, k) == 0
-		haveSuf := si < len(sm)
-		if !havePre && !haveSuf {
-			return tuple.Fact{}, false
-		}
-		// Ties take the prefix fact: it was inserted earlier, matching the
-		// stable-sort order.
-		if havePre && (!haveSuf || prefix[i].Seq >= sm[si].Seq) {
-			if !p.elided(prefix[i]) {
-				return prefix[i], true
-			}
-			i++
-		} else {
-			if !p.elided(sm[si]) {
-				return sm[si], true
-			}
-			si++
-		}
-	}
 }
 
 // getFromPatch1 is getFromPatch specialized for single-column keys — the
@@ -267,18 +323,20 @@ func (s *memSource) advance(at sim.Time) (sim.Time, error) {
 
 // patchSource streams one patch's rows, optionally bounded above by hiKey.
 // seek positions it; pages open lazily, one at a time, and a page whose
-// KeyMin lies beyond hiKey is never opened. Rows decode one at a time
-// (Page.Fact), so a narrow scan decodes only the rows it visits.
+// KeyMin lies beyond hiKey is never opened. A row decodes (Page.Fact) only
+// when peeked, so a narrow scan decodes only the rows it visits and Newest
+// only the rows that could beat its best match.
 type patchSource struct {
 	p     *Pyramid
 	patch *Patch
 	hiKey []uint64 // inclusive upper bound; nil is open
 
-	page int             // index of pg in patch.Pages
-	pg   *pagecodec.Page // nil until seek opens a page
-	row  int
-	cur  tuple.Fact
-	ok   bool
+	page    int             // index of pg in patch.Pages
+	pg      *pagecodec.Page // nil until seek opens a page
+	row     int
+	cur     tuple.Fact
+	decoded bool // cur holds row
+	ok      bool
 }
 
 // seek positions the source at its first row with key ≥ loKey (nil: the
@@ -338,11 +396,25 @@ func (s *patchSource) settle(at sim.Time) (sim.Time, error) {
 		s.ok = false
 		return at, nil
 	}
-	s.cur, s.ok = s.pg.Fact(s.row), true
+	s.ok, s.decoded = true, false
 	return at, nil
 }
 
-func (s *patchSource) peek() (tuple.Fact, bool) { return s.cur, s.ok }
+func (s *patchSource) peek() (tuple.Fact, bool) {
+	if s.ok && !s.decoded {
+		s.cur, s.decoded = s.pg.Fact(s.row), true
+	}
+	return s.cur, s.ok
+}
+
+// seq and key read the current row's sequence number and key columns
+// without decoding the row. Valid while ok.
+func (s *patchSource) seq() tuple.Seq { return s.pg.Seq(s.row) }
+
+func (s *patchSource) key() []uint64 {
+	k := s.p.cfg.Schema.KeyCols
+	return s.pg.Keys()[s.row*k : (s.row+1)*k]
+}
 
 func (s *patchSource) advance(at sim.Time) (sim.Time, error) {
 	s.row++
@@ -374,24 +446,12 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 		return done, nil
 	}
 
-	// The memtable is sorted in place and its buffers are reused, so the
-	// run in range is copied out under the lock. The patch list is
-	// copy-on-write (installPatchLocked builds a fresh slice), so the header
-	// snapshot needs no copy.
+	// The memtable's buffers are reordered by sorts, so the facts in range
+	// are copied out under the lock. The patch list is copy-on-write
+	// (installPatchLocked builds a fresh slice), so the header snapshot
+	// needs no copy.
 	p.mu.Lock()
-	p.sortMemLocked()
-	lo, hi := 0, len(p.mem)
-	if loKey != nil {
-		lo = sort.Search(len(p.mem), func(i int) bool {
-			return tuple.CompareKeys(p.mem[i].Cols, loKey, k) >= 0
-		})
-	}
-	if hiKey != nil {
-		hi = sort.Search(len(p.mem), func(i int) bool {
-			return tuple.CompareKeys(p.mem[i].Cols, hiKey, k) > 0
-		})
-	}
-	memRun := append([]tuple.Fact(nil), p.mem[lo:hi]...)
+	memRun := p.memViewLocked().appendRange(nil, loKey, hiKey)
 	patches := p.patches
 	p.mu.Unlock()
 
@@ -449,4 +509,69 @@ func (p *Pyramid) scan(at sim.Time, loKey, hiKey []uint64, allVersions bool, fn 
 			return done, nil
 		}
 	}
+}
+
+// Newest returns the newest non-elided fact with key in [loKey, hiKey]
+// (inclusive; nil bounds are open) for which match holds: the highest
+// sequence number, ties going to the least key and then to the first
+// source in the order memtable, patches newest first — the first such
+// fact ScanVersions would emit. The memtable and each patch hold their
+// own sequence ranges, so the sources are read newest first and every
+// patch whose SeqHi is below the best match so far is skipped unopened:
+// a key the memtable or a recent patch covers opens no page of an older
+// patch. The skip tests SeqHi itself rather than relying on the patch
+// order, and it keeps patches whose SeqHi equals the best match, which
+// can hold an equal-seq copy of a fact re-placed after recovery.
+//
+// match runs without the pyramid's lock, only on facts that would beat
+// the current best, and must not retain the fact.
+func (p *Pyramid) Newest(at sim.Time, loKey, hiKey []uint64, match func(tuple.Fact) bool) (tuple.Fact, bool, sim.Time, error) {
+	k := p.cfg.Schema.KeyCols
+	done := at
+	if loKey != nil && hiKey != nil && tuple.CompareKeys(loKey, hiKey, k) > 0 {
+		return tuple.Fact{}, false, done, nil
+	}
+
+	var buf [16]tuple.Fact
+	p.mu.Lock()
+	mem := p.memViewLocked().appendRange(buf[:0], loKey, hiKey)
+	patches := p.patches
+	p.mu.Unlock()
+
+	var best tuple.Fact
+	found, fromMem := false, false
+	beats := func(seq tuple.Seq, key []uint64) bool {
+		return !found || seq > best.Seq || (seq == best.Seq && tuple.CompareKeys(key, best.Cols, k) < 0)
+	}
+	for _, f := range mem {
+		if beats(f.Seq, f.Cols) && !p.elided(f) && match(f) {
+			best, found, fromMem = f, true, true
+		}
+	}
+	for _, patch := range patches {
+		if found && patch.SeqHi < best.Seq {
+			continue
+		}
+		s := patchSource{p: p, patch: patch, hiKey: hiKey}
+		var err error
+		if done, err = s.seek(done, loKey); err != nil {
+			return tuple.Fact{}, false, done, err
+		}
+		for s.ok {
+			if beats(s.seq(), s.key()) {
+				if f, _ := s.peek(); !p.elided(f) && match(f) {
+					best, found, fromMem = f, true, false
+				}
+			}
+			if done, err = s.advance(done); err != nil {
+				return tuple.Fact{}, false, done, err
+			}
+		}
+	}
+	if fromMem {
+		// Memtable facts are shared with the pyramid; patch rows were
+		// decoded for this call.
+		best = best.Clone()
+	}
+	return best, found, done, nil
 }

@@ -92,9 +92,10 @@ func sameFacts(a, b []tuple.Fact) bool {
 // TestScanMatchesBruteForce checks bounded and unbounded Scan and
 // ScanVersions against a sorted model over a pyramid with several
 // multi-page patches, many versions per key (runs longer than a page),
-// elided ranges, and a memtable holding both a sorted prefix and an
-// unsorted suffix. Bounds fall on page KeyMins, just inside and between
-// them, outside the key space, open (nil), and inverted (lo > hi).
+// elided ranges, and a memtable in each shape of suffixCases: sorted, a
+// sorted prefix with an unsorted suffix, and a suffix past memSuffixMax.
+// Bounds fall on page KeyMins, just inside and between them, outside the
+// key space, open (nil), and inverted (lo > hi).
 func TestScanMatchesBruteForce(t *testing.T) {
 	et := elide.NewTable()
 	p, _ := newScanPyramid(t, et, 4)
@@ -132,9 +133,6 @@ func TestScanMatchesBruteForce(t *testing.T) {
 		t.Fatalf("built %d patches, want ≥ 3", n)
 	}
 	insert(100)
-	if _, _, _, err := p.Get(0, []uint64{0, 0}); err != nil { // sorts the memtable
-		t.Fatal(err)
-	}
 
 	// Candidate bound keys: every page KeyMin, its neighbours, and the
 	// edges of the key space.
@@ -161,20 +159,24 @@ func TestScanMatchesBruteForce(t *testing.T) {
 		}
 	}
 
-	for q := 0; q < 400; q++ {
-		// Every query sees an unsorted memtable suffix behind the sorted
-		// prefix the previous query left.
-		insert(1 + r.Intn(3))
-		lo, hi := pick(), pick()
-		if q%10 == 0 && lo != nil && hi != nil {
-			lo, hi = hi, lo // often inverted
-		}
-		for _, all := range []bool{false, true} {
-			want := m.scan(lo, hi, all)
-			got := collect(t, p, lo, hi, all)
-			if !sameFacts(got, want) {
-				t.Fatalf("query %d [%v, %v] allVersions=%v: got %d facts, want %d\ngot  %v\nwant %v",
-					q, lo, hi, all, len(got), len(want), got, want)
+	queries := 100
+	if testing.Short() {
+		queries = 40
+	}
+	for _, sc := range suffixCases {
+		for q := 0; q < queries; q++ {
+			reshapeMem(t, p, sc.n, insert)
+			lo, hi := pick(), pick()
+			if q%10 == 0 && lo != nil && hi != nil {
+				lo, hi = hi, lo // often inverted
+			}
+			for _, all := range []bool{false, true} {
+				want := m.scan(lo, hi, all)
+				got := collect(t, p, lo, hi, all)
+				if !sameFacts(got, want) {
+					t.Fatalf("%s: query %d [%v, %v] allVersions=%v: got %d facts, want %d\ngot  %v\nwant %v",
+						sc.name, q, lo, hi, all, len(got), len(want), got, want)
+				}
 			}
 		}
 	}
@@ -307,7 +309,7 @@ func TestConcurrentScanInsert(t *testing.T) {
 	}()
 	var readers sync.WaitGroup
 	readers.Add(2)
-	go func() { // scanner: every bounded scan sorts the memtable
+	go func() { // scanner: a scan re-sorts the memtable once 64 facts pile up
 		defer readers.Done()
 		r := sim.NewRand(10)
 		for i := 0; i < rounds; i++ {
@@ -363,8 +365,8 @@ func TestConcurrentScanInsert(t *testing.T) {
 }
 
 // TestLookupsDuringMemtableSort pins the memtable's locking (run under
-// -race). Sorts reuse the memtable's buffers in place, so a Get, GetFloor
-// or GetCeil that searched the memtable after dropping the lock would race
+// -race). Sorts reuse the memtable's buffers in place, so a Get, GetFloor,
+// GetCeil or Newest that searched the memtable after dropping the lock would race
 // with a scan's sort. The race detector sees such a read only when no lock
 // orders it before the write, so each lookup runs in a goroutine that
 // exits straight after, while the scanner sorts new batches.
@@ -397,9 +399,12 @@ func TestLookupsDuringMemtableSort(t *testing.T) {
 			if _, _, _, err := p.GetCeil(0, []uint64{1}, 250); err != nil {
 				t.Error(err)
 			}
+			if _, _, _, err := p.Newest(0, []uint64{1, 200}, []uint64{1, 263}, func(tuple.Fact) bool { return true }); err != nil {
+				t.Error(err)
+			}
 		}()
 		for i := 0; i < 3; i++ {
-			insert(5)
+			insert(memSuffixMax + 1) // past the bound: the scan re-sorts
 			if _, err := p.Scan(0, []uint64{1, 0}, []uint64{1, 1}, func(tuple.Fact) bool { return true }); err != nil {
 				t.Fatal(err)
 			}

@@ -70,6 +70,9 @@ go test ./...
 echo "== perfbench (the repo benchmark's own tests: shrunk oltp/vdi/overwrite runs, every read checked against the oracle)"
 (cd perfbench && go test ./...)
 
+echo "== layer benchmarks (one iteration each: the per-layer read and write stages still build and run)"
+go test -run '^$' -bench 'ReadStages|WriteStages' -benchtime 1x ./internal/core/
+
 echo "== crash-consistency sweep (short, incl. rebuild fault points; full sweep: purity-bench -experiment CS)"
 go test -short -run 'TestCrashSweep|TestTornTailRecovery|TestCorruptTailRecovery|TestCrashDuringRecovery' ./internal/core/
 
